@@ -1,14 +1,30 @@
-"""Disabled-tracer overhead: the telemetry layer's hot-path tax.
+"""Telemetry overhead: the tracer's cost on a whole campaign and on the
+hot path.
 
 The observability layer (``repro.obs``) instruments the match loop, the
-piggyback transport, and the replay scheduler.  Its contract is that a
-verification with tracing *disabled* — the default — pays (almost)
-nothing: every emitter site is one attribute load plus an ``is not None``
-test.  This bench holds the layer to that contract on the matmult
-self-run (paper Fig. 6), the same workload the replay-latency bench uses.
+piggyback transport, and the replay scheduler.  Tracing is on by default
+from the CLI, so what it costs a ``repro verify`` campaign is a contract:
+the ``campaign`` leg gates it end to end.  The self-run legs below hold
+the hot path to its own contract — with tracing *disabled* every emitter
+site is one attribute load plus an ``is not None`` test — on the matmult
+self-run (paper Fig. 6), the same workload the replay-latency bench
+uses.  A self-run slice skips restores, the campaign merge and
+finalize, so it cannot stand in for the campaign figure.
 
-Legs
-----
+Campaign leg
+------------
+``campaign``
+    Full ``repro verify`` campaigns of 8-rank matmult with CLI defaults
+    (tracing, pruning and prefix checkpoints on; ``--bound-k 0``), each in
+    a fresh interpreter pinned to one CPU before ``repro`` is imported.
+    Default and ``--no-trace`` campaigns alternate in :data:`PAIRS`
+    pairs; the order inside a pair alternates too.  Gated: the median of
+    the per-pair traced/untraced wall ratios must stay at or below
+    :data:`CAMPAIGN_BUDGET_RATIO`.  The artifact records every wall, the
+    pinned CPU and ``os.cpu_count()``.
+
+Self-run legs
+-------------
 ``baseline``
     The tree at :data:`BASELINE_REF`, checked out into a temporary git
     worktree and driven by the same driver in a subprocess, with tracing
@@ -89,6 +105,20 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 #: Repetitions per leg; the gated statistic is the best across reps.
 REPS = 1 if SMOKE else (7 if FULL else 5)
 
+#: Traced/untraced wall ratio budget for a whole CLI-default campaign
+#: (median over pairs; CI fails past this).
+CAMPAIGN_BUDGET_RATIO = 1.20
+
+#: Default / ``--no-trace`` campaign pairs in the campaign leg.
+PAIRS = 2 if SMOKE else (11 if FULL else 7)
+
+#: The campaign leg's ``repro verify`` arguments (CLI defaults otherwise).
+CAMPAIGN_ARGV = [
+    "verify", "repro.workloads.matmult:matmult_program", "--nprocs", "8",
+    "--kwargs", json.dumps({"n": 8, "blocks_per_slave": 2 if SMOKE else 3}),
+    "--bound-k", "0",
+]
+
 #: Timed self-runs per driver invocation (plus one untimed warm-up).
 RUNS = 2 if SMOKE else 24
 
@@ -125,6 +155,72 @@ print("OBS_OVERHEAD_JSON:" + json.dumps({
     "min_ms": 1000 * walls[0],
 }))
 """
+
+
+#: One campaign in a fresh interpreter: pin to the given CPU *before*
+#: ``repro`` is imported (the engine runs one rank thread at a time, so
+#: one CPU removes no parallelism, only cross-core wake-up latency), then
+#: run ``repro.cli.main`` with its output discarded.
+_CAMPAIGN_DRIVER = r"""
+import contextlib, io, json, os, sys, time
+cpu = int(sys.argv[1])
+if cpu >= 0:
+    os.sched_setaffinity(0, {cpu})
+import repro.cli
+t0 = time.perf_counter()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = repro.cli.main(sys.argv[2:])
+print("OBS_CAMPAIGN_JSON:" + json.dumps(
+    {"wall_s": time.perf_counter() - t0, "exit": code}
+))
+"""
+
+
+def _pin_cpu() -> int:
+    """The CPU campaign drivers pin to (the highest one allowed), or -1
+    where the platform cannot pin."""
+    if not hasattr(os, "sched_setaffinity"):
+        return -1
+    return max(os.sched_getaffinity(0))
+
+
+def _run_campaign(cpu: int, trace: bool) -> float:
+    argv = CAMPAIGN_ARGV + ([] if trace else ["--no-trace"])
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"),
+               PYTHONHASHSEED="0")
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAMPAIGN_DRIVER, str(cpu), *argv],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    for line in proc.stdout.splitlines():
+        if line.startswith("OBS_CAMPAIGN_JSON:"):
+            out = json.loads(line[len("OBS_CAMPAIGN_JSON:"):])
+            if out["exit"] == 0:
+                return out["wall_s"]
+    raise RuntimeError(
+        f"campaign driver failed ({proc.returncode}):\n{proc.stderr[-2000:]}"
+    )
+
+
+def run_campaign_leg() -> dict:
+    """Paired, alternating default / ``--no-trace`` campaigns."""
+    cpu = _pin_cpu()
+    traced, untraced = [], []
+    for i in range(PAIRS):
+        for trace in ((True, False) if i % 2 == 0 else (False, True)):
+            (traced if trace else untraced).append(_run_campaign(cpu, trace))
+    ratios = [t / u for t, u in zip(traced, untraced)]
+    return {
+        "argv": CAMPAIGN_ARGV,
+        "pairs": PAIRS,
+        "pinned_cpu": cpu,
+        "cpu_count": os.cpu_count(),
+        "traced_s": traced,
+        "untraced_s": untraced,
+        "ratios": ratios,
+        "median_ratio": statistics.median(ratios),
+        "budget_ratio": CAMPAIGN_BUDGET_RATIO,
+    }
 
 
 def _run_driver(src_root: Path, label: str, trace: bool = False) -> dict:
@@ -232,11 +328,22 @@ def run_overhead() -> dict:
         raw = _paired(legs["enabled"], legs["disabled"])
         data["enabled_overhead_pct_raw"] = raw
         data["enabled_overhead_pct"] = max(0.0, raw)
+    data["campaign"] = run_campaign_leg()
     return data
 
 
 def _report(data: dict) -> list[str]:
+    camp = data["campaign"]
     lines = [
+        f"Tracing cost on a whole campaign ({' '.join(camp['argv'][1:4])}, "
+        f"{camp['pairs']} pairs, pinned to CPU {camp['pinned_cpu']} of "
+        f"{camp['cpu_count']})",
+        "",
+        f"  traced   : median {statistics.median(camp['traced_s']):.3f} s",
+        f"  untraced : median {statistics.median(camp['untraced_s']):.3f} s",
+        f"  traced/untraced median ratio: {camp['median_ratio']:.3f} "
+        f"(budget {camp['budget_ratio']:.2f})",
+        "",
         f"Telemetry overhead on the {data['program']} self-run "
         f"(baseline={data['baseline_mode']}, reps={data['reps']}, "
         f"{data['runs_per_rep']} timed runs/rep)",
@@ -279,6 +386,11 @@ def _check(data: dict) -> None:
     assert pct < data["enabled_budget_pct"], (
         f"enabled-tracer overhead {pct:.2f}% exceeds the "
         f"{data['enabled_budget_pct']:.0f}% budget"
+    )
+    camp = data["campaign"]
+    assert camp["median_ratio"] <= camp["budget_ratio"], (
+        f"tracing makes a campaign {camp['median_ratio']:.3f}x slower, "
+        f"past the {camp['budget_ratio']:.2f}x budget"
     )
 
 

@@ -42,7 +42,7 @@ from repro.mpi.snapshot import (
 )
 from repro.mpi.tracing import TraceModule
 from repro.obs.campaign import CampaignTelemetry
-from repro.obs.trace import Tracer
+from repro.obs.trace import Tracer, render
 from repro.pnmpi.module import ToolModule
 
 _log = logging.getLogger(__name__)
@@ -462,11 +462,26 @@ class VerificationReport:
     #: telemetry block (metrics snapshot + event-stream accounting),
     #: filled in by CampaignTelemetry.finalize; report JSON v3
     telemetry: Optional[dict] = None
-    #: merged campaign event stream (list of repro.obs.trace.Event);
-    #: empty unless config.trace_events
-    events: list = field(default_factory=list)
+    #: merged campaign event stream as raw tracer records, handed over
+    #: by CampaignTelemetry.finalize; empty unless config.trace_events.
+    #: Read it through ``events``: the first read renders (and releases)
+    #: these records.
+    event_records: list = field(default_factory=list, repr=False)
     runs: list[RunRecord] = field(default_factory=list)
     traces: list[RunTrace] = field(default_factory=list)
+    _events: Optional[list] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def events(self) -> list:
+        """The merged campaign event stream (list of
+        repro.obs.trace.Event), rendered from ``event_records`` on first
+        read and cached — a campaign nobody exports never pays for it."""
+        if self._events is None:
+            self._events = render(self.event_records)
+            self.event_records = []
+        return self._events
 
     @property
     def deadlocks(self) -> list[FoundError]:

@@ -726,9 +726,9 @@ class DistCoordinator:
             # worker lifecycle events (lease spans, memo hits) ride on
             # worker-local clocks; they join the report stream for export
             # but stay out of to_json (env-dependent timings)
-            report.events = report.events + sorted(
+            report.events.extend(sorted(
                 self._worker_events, key=lambda e: (e.ts, e.name)
-            )
+            ))
             report.telemetry["events"]["worker_captured"] = len(
                 self._worker_events
             )

@@ -195,10 +195,16 @@ class MessageEngine:
     # ------------------------------------------------------------------ #
 
     def thread_started(self, rank: int) -> None:
-        """First thing each rank thread does: wait for its first token."""
+        """First thing each rank thread does: wait for its first token.
+
+        The rank counts as started only once it holds the token: until
+        then it has executed nothing, whether or not the OS has run its
+        thread yet, so checkpoint eligibility and restores treat it as
+        prestart either way (deterministic under thread start-up
+        timing)."""
         with self._lock:
-            self._started.add(rank)
             self._wait_for_token(rank)
+            self._started.add(rank)
             self._ranks[rank].state = RankRunState.RUNNING
 
     def thread_finished(self, rank: int) -> None:

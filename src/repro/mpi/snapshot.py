@@ -41,6 +41,7 @@ from repro.mpi.constants import ANY_SOURCE, ANY_TAG
 from repro.mpi.engine import MessageEngine, RankRunState, WORLD_CTX
 from repro.mpi.message import envelope_ids_mark, set_envelope_ids
 from repro.mpi.request import RequestState, request_ids_mark, set_request_ids
+from repro.obs.trace import state_nbytes
 
 
 class CheckpointError(RuntimeError):
@@ -523,11 +524,12 @@ class Snapshot:
 
     __slots__ = (
         "payload", "fingerprint", "nbytes", "capture_seconds", "key", "depth",
-        "pins_extra", "meta", "validated",
+        "pins_extra", "obs", "meta", "validated",
     )
 
     def __init__(self, payload: bytes, fingerprint: str, nbytes: int,
-                 capture_seconds: float, pins_extra: tuple = ()):
+                 capture_seconds: float, pins_extra: tuple = (),
+                 obs: Optional[tuple] = None):
         self.payload = payload
         self.fingerprint = fingerprint
         self.nbytes = nbytes
@@ -536,6 +538,11 @@ class Snapshot:
         #: reference instead of re-serialized per capture/restore —
         #: kept alive here, resolved positionally after the static pins
         self.pins_extra = pins_extra
+        #: the tracer's prefix stream (Tracer.snapshot_state), held by
+        #: reference outside the pickle: its records are immutable and
+        #: restore_state copies the containers, so every restore reads
+        #: the same pristine state
+        self.obs = obs
         #: cache key / depth / decision metadata, attached by the replay
         #: session when the snapshot enters the PrefixCheckpointCache
         self.key = None
@@ -722,15 +729,17 @@ def capture_snapshot(runtime, views) -> Snapshot:
             "proc_flags": [(p.initialized, p.finalized) for p in runtime.procs],
             "env_uid": envelope_ids_mark(),
             "req_uid": request_ids_mark(),
-            # the tracer's prefix stream (ring records + exact emit
-            # counters): restores reinstate it so a resumed run's event
-            # stream and telemetry totals match a full re-execution
-            "obs": (
-                runtime.tracer.snapshot_state()
-                if runtime.tracer is not None
-                else None
-            ),
         }
+        # the tracer's prefix stream (ring records + exact emit counters)
+        # rides beside the payload, not in it: restores reinstate it so a
+        # resumed run's event stream and telemetry totals match a full
+        # re-execution, without pickling every record per capture and
+        # unpickling it per restore
+        obs = (
+            runtime.tracer.snapshot_state()
+            if runtime.tracer is not None
+            else None
+        )
         # One joint serialization: identity linkage between logged requests
         # and the requests inside mailboxes/collectives/module state must
         # survive into the clone (two separate copies would split them).
@@ -742,15 +751,17 @@ def capture_snapshot(runtime, views) -> Snapshot:
             raise CheckpointUnsupported(
                 f"engine state is not cloneable: {type(e).__name__}: {e}"
             ) from e
-    # nbytes counts the serialized clone only: dynamically pinned bulk
-    # payloads are *shared* with the live runtime (and with every other
-    # snapshot along the same prefix), not owned per-snapshot.
+    # nbytes counts the serialized clone plus the held tracer state:
+    # dynamically pinned bulk payloads are *shared* with the live runtime
+    # (and with every other snapshot along the same prefix), not owned
+    # per-snapshot.
     snap = Snapshot(
         payload=frozen,
         fingerprint=fingerprint,
-        nbytes=len(frozen),
+        nbytes=len(frozen) + state_nbytes(obs),
         capture_seconds=time.perf_counter() - t0,
         pins_extra=pins_extra,
+        obs=obs,
     )
     return snap
 
@@ -833,7 +844,7 @@ def install_snapshot(runtime, snap: Snapshot, record_after: bool = False) -> dic
     set_envelope_ids(thawed["env_uid"])
     set_request_ids(thawed["req_uid"])
     if runtime.tracer is not None:
-        runtime.tracer.restore_state(thawed.get("obs"))
+        runtime.tracer.restore_state(snap.obs)
 
     logs = thawed["logs"]
     for rank, view in enumerate(views):

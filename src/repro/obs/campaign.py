@@ -143,7 +143,7 @@ class CampaignTelemetry:
             if obs and obs.get("records"):
                 # merge the run's records onto the campaign axis — raw
                 # tuples straight into the campaign ring, no Event
-                # round-trip (rendering happens once, in finalize)
+                # round-trip (rendering waits for the first reader)
                 self.tracer.emit_raw(obs["records"], run=index, ts_offset=t0)
             span_args = {"wildcards": trace.wildcard_count}
             if flip is not None:
@@ -217,18 +217,20 @@ class CampaignTelemetry:
     # -- report integration ---------------------------------------------------
 
     def finalize(self, report) -> None:
-        """Close out the campaign: stamp wall-clock, move the merged event
-        stream and the metrics snapshot onto the report (its ``telemetry``
-        block, report JSON v3)."""
+        """Close out the campaign: stamp wall-clock, hand the merged event
+        stream (raw records: the report renders them on first read of
+        ``report.events``) and the metrics snapshot to the report (its
+        ``telemetry`` block, report JSON v3)."""
         self.metrics.gauge("wall.seconds").set(report.wall_seconds)
         dropped = self._run_dropped
+        records = []
         if self.tracer is not None:
             dropped += self.tracer.dropped
-        events = self.tracer.drain() if self.tracer is not None else []
-        report.events = events
+            records = self.tracer.drain_records()
+        report.event_records = records
         events_block = {
             "enabled": self.tracer is not None,
-            "captured": len(events),
+            "captured": len(records),
             "dropped": dropped,
         }
         if self.tracer is not None:

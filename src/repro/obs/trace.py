@@ -3,11 +3,13 @@
 Design constraints, in priority order:
 
 1. **Cheap when on.**  The hot path (:meth:`Tracer.instant`) allocates no
-   :class:`Event` — it packs a raw tuple into a preallocated ring slot and
-   defers *all* rendering (arg sorting, dataclass construction) to
-   :meth:`drain`/:meth:`collect`, which run once per run instead of once
-   per event.  ``benchmarks/bench_obs_overhead.py`` bounds the enabled
-   cost at <=5% on the matmult self-run.
+   :class:`Event` — it packs a raw tuple into a preallocated ring slot.
+   Records stay raw through :meth:`collect`, the campaign merge and
+   prefix checkpoints; *all* rendering (arg sorting, dataclass
+   construction) is deferred to :func:`render`, which runs only when a
+   consumer first reads the events (``VerificationReport.events``, an
+   exporter).  ``benchmarks/bench_obs_overhead.py`` gates the enabled
+   cost on a whole ``repro verify`` campaign.
 2. **Cheap when off.**  Emitter sites hold a ``tracer`` that is either a
    :class:`Tracer` or ``None``; the disabled path is one attribute load
    plus an ``is not None`` test (the :data:`NULL_TRACER` singleton exists
@@ -30,14 +32,17 @@ Design constraints, in priority order:
    tuple of pairs — hashable, picklable, and order-stable.
 
 Raw records cross process boundaries (replay workers pickle the
-:meth:`collect` payload back inside ``RunResult.artifacts["obs"]``) and
-ride inside prefix checkpoints (:meth:`snapshot_state` /
-:meth:`restore_state` — see ``repro.mpi.snapshot``), so both shapes stay
-plain tuples/dicts of primitives.
+:meth:`collect` payload back inside ``RunResult.artifacts["obs"]``), so
+they stay plain tuples/dicts of primitives.  A record is immutable once
+recorded — the tuple by type, its args dict by convention (nothing writes
+to it after :meth:`instant`/:meth:`complete`) — so prefix checkpoints
+hold :meth:`snapshot_state` by reference instead of pickling it, and the
+campaign ring shares args dicts with the per-run rings it merges.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -48,6 +53,13 @@ DEFAULT_BUFFER = 65536
 
 #: raw-record field order (ring slots are plain tuples, not Events)
 _NAME, _CAT, _TS, _PH, _DUR, _RANK, _RUN, _ARGS = range(8)
+
+#: deep size of one typical raw record: its 8-slot tuple, timestamp float
+#: and small args dict (names, categories and small ints are shared)
+_RECORD_BYTES = (
+    sys.getsizeof((None,) * 8) + sys.getsizeof(0.0)
+    + sys.getsizeof({"a": 0, "b": 0, "c": 0})
+)
 
 
 @dataclass(frozen=True)
@@ -109,6 +121,24 @@ def _materialize(rec) -> Event:
     return Event(
         name=rec[0], cat=rec[1], ts=rec[2], ph=rec[3], dur=rec[4],
         rank=rec[5], run=rec[6], args=_freeze_args(rec[7]),
+    )
+
+
+def render(records: Iterable[tuple]) -> list:
+    """Materialize raw ring records into Events, in order."""
+    return [_materialize(rec) for rec in records]
+
+
+def state_nbytes(state: Optional[tuple]) -> int:
+    """Estimated memory a :meth:`Tracer.snapshot_state` value keeps
+    alive (checkpoint-cache budgeting): every record counted in full,
+    although records on a shared prefix are shared between snapshots."""
+    if state is None:
+        return 0
+    records, counts, _dropped = state
+    return (
+        sys.getsizeof(records) + len(records) * _RECORD_BYTES
+        + sys.getsizeof(counts)
     )
 
 
@@ -236,9 +266,9 @@ class Tracer:
             totals[name] = totals.get(name, 0) + 1
         return totals
 
-    def drain(self) -> list:
-        """Materialize, return, and clear the buffered events (oldest
-        first).  Counters are *not* cleared — they keep the exact totals
+    def drain_records(self) -> list:
+        """Return and clear the buffered records, oldest first, still
+        raw.  Counters are *not* cleared — they keep the exact totals
         until :meth:`reset`.  A ``capture``-off tracer folds the payloads
         into the counters and returns nothing."""
         records = self._records()
@@ -248,9 +278,11 @@ class Tracer:
             counts[name] = counts.get(name, 0) + 1
         self._next = 0
         self._count = 0
-        if not self.capture:
-            return []
-        return [_materialize(rec) for rec in records]
+        return records if self.capture else []
+
+    def drain(self) -> list:
+        """:meth:`drain_records`, rendered into Events."""
+        return render(self.drain_records())
 
     def collect(self) -> dict:
         """Drain into the raw transport payload a run hands back through
@@ -289,7 +321,10 @@ class Tracer:
         """Freeze the stream state at a prefix-checkpoint cut: buffered
         records, off-ring counters, and the drop count.  Restoring this
         into a consumer run makes its stream (and exact totals) identical
-        to a full re-execution of the shared prefix."""
+        to a full re-execution of the shared prefix.  The containers are
+        fresh copies and the records immutable, so the state can be held
+        by reference: neither this tracer nor :meth:`restore_state`
+        writes to it."""
         return (self._records(), dict(self._counts), self.dropped)
 
     def restore_state(self, state: Optional[tuple]) -> None:
@@ -351,6 +386,9 @@ class _NullTracer:
 
     def counts(self) -> dict:
         return {}
+
+    def drain_records(self) -> list:
+        return []
 
     def drain(self) -> list:
         return []

@@ -10,9 +10,11 @@ optimization; it must never be observable in a report.
 
 from __future__ import annotations
 
+import collections
 import json
 import multiprocessing
 import os
+import threading
 
 import pytest
 
@@ -26,7 +28,10 @@ from repro.dampi.config import DampiConfig
 from repro.dampi.decisions import EpochDecisions
 from repro.dampi.faults import FAULT_EXIT_CODE
 from repro.dampi.verifier import DampiVerifier
+from repro.mpi.engine import MessageEngine
+from repro.mpi.runtime import Runtime
 from repro.mpi.snapshot import Snapshot
+from repro.obs.trace import event_signature, render, state_nbytes
 from repro.workloads.bugzoo import ZOO
 from repro.workloads.matmult import matmult_program
 
@@ -372,6 +377,122 @@ class TestStealSplitHint:
             assert sess.checkpoint_cache.misses == 1
         finally:
             v.close()
+
+
+# --------------------------------------------------------------------- #
+# determinism of the checkpoint path itself                              #
+# --------------------------------------------------------------------- #
+
+
+def _count_calls(monkeypatch) -> collections.Counter:
+    """Count snapshot captures, restores and engine entries (every
+    ``pmpi_*`` call plus ``begin_call``) across all rank threads."""
+    calls: collections.Counter = collections.Counter()
+    lock = threading.Lock()
+
+    def counting(label, fn):
+        def wrapper(*args, **kwargs):
+            with lock:
+                calls[label] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("snapshot", "restore"):
+        monkeypatch.setattr(
+            Runtime, name, counting(name, getattr(Runtime, name))
+        )
+    for name, fn in list(vars(MessageEngine).items()):
+        if name.startswith("pmpi_") or name == "begin_call":
+            monkeypatch.setattr(MessageEngine, name, counting("engine", fn))
+    return calls
+
+
+class TestStartupDeterminism:
+    """A rank the OS has started but that has not yet held the token has
+    executed nothing: capture eligibility and restores must not depend
+    on whether its thread happened to run (thread start-up timing)."""
+
+    def test_repeated_campaigns_count_identically(self, monkeypatch):
+        calls = _count_calls(monkeypatch)
+        seen = []
+        for _ in range(5):
+            calls.clear()
+            rep = _verify(
+                matmult_program, 4, MATMULT_KW, trace_events=True
+            )
+            ckpt = rep.parallel_stats["checkpoint"]
+            counters = rep.telemetry["metrics"]["counters"]
+            seen.append((
+                {k: ckpt[k] for k in (
+                    "hits", "misses", "ancestor_hits", "suffix_captures",
+                    "entries", "bytes_held",
+                )},
+                dict(calls),
+                {k: v for k, v in counters.items() if k.startswith("engine.")},
+            ))
+        assert calls["restore"] > 0 and calls["snapshot"] > 0
+        for other in seen[1:]:
+            assert other == seen[0]
+
+
+def _recorded_snapshot(v):
+    """Self run, then one guided replay that records and captures at its
+    own flip; returns the replay's decisions and the cached snapshot."""
+    from repro.dampi.explorer import ScheduleGenerator
+
+    _, trace = v.run_once(None)
+    explorer = ScheduleGenerator()
+    explorer.seed(trace)
+    d = explorer.next_decisions()
+    v.run_once(d)
+    snap = v._session.checkpoint_cache.find(d)
+    assert snap is not None and snap.obs is not None
+    return d, snap
+
+
+class TestTracerStateOutsidePickle:
+    """The tracer's prefix stream rides on the Snapshot by reference."""
+
+    def test_restoring_one_snapshot_twice_yields_identical_streams(self):
+        v = DampiVerifier(
+            matmult_program, 4, DampiConfig(trace_events=True),
+            kwargs=dict(MATMULT_KW),
+        )
+        try:
+            d, snap = _recorded_snapshot(v)
+            records, counts, dropped = snap.obs
+            assert records
+            pristine = (list(records), dict(counts), dropped)
+            streams = []
+            for _ in range(2):
+                result, _ = v.run_once(d)
+                assert result.phases.get("restore", 0) > 0
+                obs = result.artifacts["obs"]
+                streams.append(
+                    (obs["records"], obs["counts"], obs["dropped"])
+                )
+                # the held state is shared, never written through
+                assert snap.obs == pristine
+            (a, a_counts, a_drop), (b, b_counts, b_drop) = streams
+            assert (a_counts, a_drop) == (b_counts, b_drop)
+            # identical streams up to the suffix's own timestamps
+            assert event_signature(render(a)) == event_signature(render(b))
+            assert a[:len(records)] == records == b[:len(records)]
+        finally:
+            v.close()
+
+    def test_nbytes_covers_the_held_tracer_state(self):
+        v = DampiVerifier(
+            matmult_program, 4, DampiConfig(trace_events=True),
+            kwargs=dict(MATMULT_KW),
+        )
+        try:
+            _, snap = _recorded_snapshot(v)
+        finally:
+            v.close()
+        held = state_nbytes(snap.obs)
+        assert held > 0
+        assert snap.nbytes == len(snap.payload) + held
 
 
 # --------------------------------------------------------------------- #

@@ -516,6 +516,102 @@ class TestCliTracing:
 
 
 # --------------------------------------------------------------------- #
+# render on first read                                                   #
+# --------------------------------------------------------------------- #
+
+
+def _count_renders(monkeypatch) -> list:
+    """Count Event materializations (one list entry per rendered record)."""
+    import repro.obs.trace as trace_mod
+
+    rendered = []
+    materialize = trace_mod._materialize
+
+    def counting(rec):
+        rendered.append(rec)
+        return materialize(rec)
+
+    monkeypatch.setattr(trace_mod, "_materialize", counting)
+    return rendered
+
+
+class TestRenderOnRead:
+    """A campaign keeps its event stream raw until someone reads it."""
+
+    def test_cli_default_campaign_without_exporter_renders_nothing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.cli import main
+
+        rendered = _count_renders(monkeypatch)
+        reports = []
+        verify = DampiVerifier.verify
+
+        def keep(self, *args, **kwargs):
+            reports.append(verify(self, *args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(DampiVerifier, "verify", keep)
+        out = tmp_path / "r.json"
+        main([
+            "verify", "repro.workloads.matmult:matmult_program",
+            "--nprocs", "4", "--kwargs", json.dumps(MATMULT_KW),
+            "--json-out", str(out),
+        ])
+        captured = json.loads(out.read_text())["telemetry"]["events"]
+        assert captured["enabled"] and captured["captured"] > 0
+        assert rendered == []
+        (report,) = reports
+        assert len(report.event_records) == captured["captured"]
+        events = report.events
+        assert len(rendered) == len(events) == captured["captured"]
+        # cached: a second read renders nothing more
+        assert report.events is events
+        assert len(rendered) == captured["captured"]
+
+    def test_first_read_matches_eager_rendering(self, monkeypatch):
+        from repro.obs.campaign import CampaignTelemetry
+        from repro.obs.trace import render
+
+        eager = []
+        finalize = CampaignTelemetry.finalize
+
+        def finalize_and_render(self, report):
+            finalize(self, report)
+            # what an eager finalize would have handed the report
+            eager.append(render(report.event_records))
+
+        monkeypatch.setattr(CampaignTelemetry, "finalize", finalize_and_render)
+        lazy = _verify(matmult_program, 4, MATMULT_KW, trace_events=True)
+        (expected,) = eager
+        assert expected
+        events = lazy.events
+        assert event_signature(events) == event_signature(expected)
+        assert [(e.ts, e.dur) for e in events] == [
+            (e.ts, e.dur) for e in expected
+        ]
+        monkeypatch.undo()
+        again = _verify(matmult_program, 4, MATMULT_KW, trace_events=True)
+        assert event_signature(again.events) == event_signature(events)
+
+    def test_dist_report_events_still_carry_worker_events(self):
+        from repro.dist import distributed_verify
+
+        report = distributed_verify(
+            matmult_program, 3, config=DampiConfig(trace_events=True),
+            workers=2,
+        )
+        events = report.events
+        assert report.events is events
+        dist_events = [e for e in events if e.cat == "dist"]
+        assert any(e.name == "lease" for e in dist_events)
+        assert all(isinstance(e, Event) for e in events)
+        assert report.telemetry["events"]["worker_captured"] == len(
+            dist_events
+        )
+
+
+# --------------------------------------------------------------------- #
 # progress degradation                                                   #
 # --------------------------------------------------------------------- #
 
