@@ -455,6 +455,15 @@ def _check_adaptive_clock(args) -> None:
         )
 
 
+def _open_journal(args, config):
+    """The ``--journal-dir`` journal of a fresh campaign (None: no journal)."""
+    if args.journal_dir is None:
+        return None
+    from repro.dampi.journal import CampaignJournal
+
+    return CampaignJournal.open(args.journal_dir, config, program_label=args.program)
+
+
 def cmd_verify(args) -> int:
     program = resolve_program(args.program)
     kwargs = json.loads(args.kwargs)
@@ -493,17 +502,7 @@ def cmd_verify(args) -> int:
     )
     cls = IspVerifier if args.baseline else DampiVerifier
     verifier = cls(program, args.nprocs, config, kwargs=kwargs)
-    journal = None
-    if args.journal_dir is not None:
-        from repro.dampi.journal import CampaignJournal
-
-        journal = CampaignJournal(
-            args.journal_dir,
-            segment_bytes=config.journal_segment_bytes,
-            fsync=config.journal_fsync,
-            program_label=args.program,
-        )
-    report = verifier.verify(journal=journal)
+    report = verifier.verify(journal=_open_journal(args, config))
     print(report.summary())
     if report.journal_stats is not None:
         js = report.journal_stats
@@ -677,11 +676,11 @@ def cmd_escalate(args) -> int:
     return 1 if result.errors else 0
 
 
-def cmd_resume(args) -> int:
-    """Self-contained crash recovery: everything needed to continue —
-    program spec, nprocs, config, kwargs — is read from the journal's
-    meta record, so the operator only names the directory."""
-    from repro.dampi.journal import CampaignJournal
+def _resume_inputs(args, dist: bool):
+    """Everything a resume command rebuilds from a journal's meta record:
+    ``(journal, nprocs, program, config, kwargs)``.  The recorded fault
+    plan is replaced by this invocation's — it already fired."""
+    from repro.dampi.journal import JOURNAL_VERSION, CampaignJournal
     from repro.mpi.costmodel import CostModel
 
     journal = CampaignJournal(args.journal_dir)
@@ -692,17 +691,29 @@ def cmd_resume(args) -> int:
             f"(empty directory, or not a campaign journal)"
         )
     mode = (meta.get("signature") or {}).get("journal_mode", "campaign")
-    if mode == "shard":
+    if dist and mode != "dist":
+        raise SystemExit(
+            f"{args.journal_dir} is a {mode!r} journal, not a distributed "
+            f"coordinator journal; use "
+            f"{'repro resume' if mode == 'campaign' else 'the coordinator journal'} instead"
+        )
+    if not dist and mode == "shard":
         raise SystemExit(
             f"{args.journal_dir} is a worker shard journal of a distributed "
             f"campaign — it covers one leased subtree, not the whole "
             f"verification; resume the campaign's coordinator journal with "
             f"'repro dist resume' instead"
         )
-    if mode != "campaign":
+    if not dist and mode != "campaign":
         raise SystemExit(
             f"{args.journal_dir} is a {mode!r} journal; use "
             f"'repro dist resume' on it"
+        )
+    if meta.get("version") != JOURNAL_VERSION:
+        raise SystemExit(
+            f"{args.journal_dir} is a version {meta.get('version')!r} "
+            f"journal; this version of repro resumes version "
+            f"{JOURNAL_VERSION} only"
         )
     spec = args.program or meta.get("program")
     if not spec:
@@ -714,11 +725,15 @@ def cmd_resume(args) -> int:
     if not isinstance(payload, dict):
         raise SystemExit(
             "this journal's config is not serializable (policy instance?); "
-            "resume in-process via DampiVerifier.verify(journal=...)"
+            "resume in-process via "
+            + (
+                "repro.dist.distributed_verify(journal=...)"
+                if dist
+                else "DampiVerifier.verify(journal=...)"
+            )
         )
     d = dict(payload)
     cm = d.pop("cost_model", None)
-    # the recorded plan already fired — a resume must not re-inject it
     d["fault_plan"] = args.fault_plan
     try:
         config = DampiConfig(
@@ -734,15 +749,31 @@ def cmd_resume(args) -> int:
             f"this journal's program kwargs are not serializable "
             f"({kwargs!r}); resume in-process instead"
         )
-    program = resolve_program(spec)
-    verifier = DampiVerifier(program, meta["nprocs"], config, kwargs=kwargs)
+    return journal, meta["nprocs"], resolve_program(spec), config, kwargs
+
+
+def cmd_resume(args) -> int:
+    """Self-contained crash recovery: everything needed to continue —
+    program spec, nprocs, config, kwargs — is read from the journal's
+    meta record, so the operator only names the directory."""
+    journal, nprocs, program, config, kwargs = _resume_inputs(args, dist=False)
+    verifier = DampiVerifier(program, nprocs, config, kwargs=kwargs)
     report = verifier.verify(journal=journal)
-    print(report.summary())
     js = report.journal_stats or {}
-    print(
+    return _print_report(
+        args,
+        report,
         f"  journal: {js.get('replayed', 0)} run(s) replayed, "
-        f"{js.get('executed', 0)} executed"
+        f"{js.get('executed', 0)} executed",
     )
+
+
+def _print_report(args, report, *notes: str) -> int:
+    """Summary, ``notes``, then ``--show-runs`` and ``--json-out``; the
+    exit status."""
+    print(report.summary())
+    for note in notes:
+        print(note)
     if args.show_runs:
         print(report.run_table(limit=None))
     if args.json_out is not None:
@@ -752,29 +783,22 @@ def cmd_resume(args) -> int:
 
 
 def _print_dist_report(args, report) -> int:
-    print(report.summary())
     ps = report.parallel_stats or {}
-    print(
+    notes = [
         f"  distributed: {ps.get('workers')} worker(s), "
         f"{ps.get('leases')} lease(s), {ps.get('records')} record(s), "
         f"{ps.get('worker_deaths', 0)} worker death(s)"
-    )
-    if report.journal_stats is not None:
-        js = report.journal_stats
-        print(
+    ]
+    js = report.journal_stats
+    if js is not None:
+        notes.append(
             f"  journal: {js['replayed']} record(s) replayed from "
             f"{js['dir']}, {js['executed']} executed"
         )
-    if args.show_runs:
-        print(report.run_table(limit=None))
-    if args.json_out is not None:
-        args.json_out.write_text(report.to_json() + "\n")
-        print(f"  report JSON saved: {args.json_out}")
-    return 1 if report.errors else 0
+    return _print_report(args, report, *notes)
 
 
 def cmd_dist_run(args) -> int:
-    from repro.dampi.journal import CampaignJournal
     from repro.dist import distributed_verify
 
     program = resolve_program(args.program)
@@ -790,20 +814,12 @@ def cmd_dist_run(args) -> int:
         prune=not args.no_prune,
         adaptive_clocks=args.adaptive_clocks,
     )
-    journal = None
-    if args.journal_dir is not None:
-        journal = CampaignJournal(
-            args.journal_dir,
-            segment_bytes=config.journal_segment_bytes,
-            fsync=config.journal_fsync,
-            program_label=args.program,
-        )
     report = distributed_verify(
         program,
         args.nprocs,
         config=config,
         workers=args.workers,
-        journal=journal,
+        journal=_open_journal(args, config),
         kwargs=json.loads(args.kwargs),
     )
     return _print_dist_report(args, report)
@@ -812,58 +828,13 @@ def cmd_dist_run(args) -> int:
 def cmd_dist_resume(args) -> int:
     """Like 'repro resume' but for a coordinator journal: program spec,
     nprocs, config, and worker count all come from the meta record."""
-    from repro.dampi.journal import CampaignJournal
     from repro.dist import distributed_verify
-    from repro.mpi.costmodel import CostModel
 
-    journal = CampaignJournal(args.journal_dir)
-    meta = journal.meta
-    if meta is None:
-        raise SystemExit(
-            f"{args.journal_dir}: no journal meta record found "
-            f"(empty directory, or not a campaign journal)"
-        )
-    mode = (meta.get("signature") or {}).get("journal_mode", "campaign")
-    if mode != "dist":
-        raise SystemExit(
-            f"{args.journal_dir} is a {mode!r} journal, not a distributed "
-            f"coordinator journal; use "
-            f"{'repro resume' if mode == 'campaign' else 'the coordinator journal'} instead"
-        )
-    spec = args.program or meta.get("program")
-    if not spec:
-        raise SystemExit(
-            "this journal does not record a program spec (it was written "
-            "by the API, not the CLI); pass --program module:callable"
-        )
-    payload = meta.get("config")
-    if not isinstance(payload, dict):
-        raise SystemExit(
-            "this journal's config is not serializable (policy instance?); "
-            "resume in-process via repro.dist.distributed_verify(journal=...)"
-        )
-    d = dict(payload)
-    cm = d.pop("cost_model", None)
-    # the recorded plan already fired — a resume must not re-inject it
-    d["fault_plan"] = args.fault_plan
-    try:
-        config = DampiConfig(
-            **d, **({"cost_model": CostModel(**cm)} if cm else {})
-        )
-    except TypeError as e:
-        raise SystemExit(
-            f"journal config does not match this version's DampiConfig: {e}"
-        ) from e
-    kwargs = meta.get("kwargs")
-    if not isinstance(kwargs, dict):
-        raise SystemExit(
-            f"this journal's program kwargs are not serializable "
-            f"({kwargs!r}); resume in-process instead"
-        )
-    workers = args.workers or (meta.get("dist") or {}).get("workers") or 2
+    journal, nprocs, program, config, kwargs = _resume_inputs(args, dist=True)
+    workers = args.workers or (journal.meta.get("dist") or {}).get("workers") or 2
     report = distributed_verify(
-        resolve_program(spec),
-        meta["nprocs"],
+        program,
+        nprocs,
         config=config,
         workers=workers,
         journal=journal,

@@ -155,17 +155,25 @@ class ArtifactStore:
         }
         (d / "meta.json").write_text(json.dumps(meta, indent=2), encoding="utf-8")
         if decisions is not None:
-            decisions.save(d / "decisions.json")
+            # the schedule alone: ``expect_siblings`` is an execution hint
+            # the generator sets and a decoded run entry does not carry
+            EpochDecisions(decisions.forced, decisions.flip).save(
+                d / "decisions.json"
+            )
         return d
 
     def load_run_trace(self, run_index: int) -> RunTrace:
         d = self.run_dir(run_index)
         meta = json.loads((d / "meta.json").read_text(encoding="utf-8"))
-        epochs: dict[int, list[EpochRecord]] = {}
+        # every rank keyed, as in a live trace (the prune fingerprint
+        # hashes empty per-rank rows too)
+        epochs: dict[int, list[EpochRecord]] = {
+            r: [] for r in range(meta["nprocs"])
+        }
         with open(d / "epochs.jsonl", encoding="utf-8") as fh:
             for line in fh:
                 e = epoch_from_jsonable(json.loads(line))
-                epochs.setdefault(e.rank, []).append(e)
+                epochs[e.rank].append(e)
         for rank_epochs in epochs.values():
             rank_epochs.sort(key=lambda e: e.index)
         matches = []

@@ -66,12 +66,6 @@ class DampiConfig:
         Use dict-indexed unexpected/posted message queues (O(1) deposit
         and match) instead of the reference linear scans.  Match order
         is bit-identical either way; ``False`` is the ablation path.
-    outcome_dedup:
-        When True, a replay that lands on an already-witnessed
-        completed-wildcard outcome is recorded but does not seed fresh
-        decision nodes — cutting redundant runs on loop-heavy /
-        divergence-heavy workloads at the cost of exhaustiveness
-        guarantees on the deduplicated suffixes.
     policy / mode / cost_model:
         Substrate knobs (wildcard match policy for SELF_RUN portions,
         scheduling mode, virtual-time constants).
@@ -144,7 +138,6 @@ class DampiConfig:
     force_jobs: bool = False
     persistent_session: bool = True
     indexed_matching: bool = True
-    outcome_dedup: bool = False
     #: Prefix-sharing replay (see :mod:`repro.dampi.checkpoint`): snapshot
     #: the engine at each explored decision point and start the sibling
     #: schedules of that point from the snapshot instead of re-executing

@@ -440,16 +440,8 @@ class ScheduleGenerator:
         self._flip_index = None
         self._flip_prev = None
 
-    def integrate(
-        self, trace: RunTrace, seed_fresh: bool = True, signature=None
-    ) -> bool:
+    def integrate(self, trace: RunTrace, signature=None) -> bool:
         """Fold a replay's trace into the search state.
-
-        ``seed_fresh=False`` records the replay's effect on the *prefix*
-        (newly discovered alternatives) but does not seed fresh decision
-        nodes from its suffix — the outcome-dedup path for replays that
-        landed on an already-witnessed wildcard outcome, whose suffix
-        space has by definition already been seeded once.
 
         With ``prune=True`` and a ``signature``
         (:class:`repro.dampi.prune.RunSignature`), the flipped node first
@@ -491,7 +483,7 @@ class ScheduleGenerator:
             if not m.frozen:
                 m.alternatives |= alts.get(m.key, set())
         frozen_before = self.distance_frozen
-        if seed_fresh and not pruned:
+        if not pruned:
             fresh_epochs = [e for e in trace.all_epochs() if e.key not in prefix_keys]
             fresh = self._nodes_from_epochs(trace, fresh_epochs, distance_from=i)
             self.path = prefix + fresh

@@ -29,22 +29,25 @@ Each line is one JSON record with a ``t`` discriminator:
     under different search semantics), and optionally the CLI program
     spec so ``repro resume <dir>`` is self-contained.
 ``run``
-    One consumed interleaving: its schedule key, the full
+    One consumed interleaving, in the same format a distributed worker
+    streams to its coordinator (:func:`run_entry`) plus ``t`` and the
+    walk ``index``: its schedule key, the full
     :class:`~repro.dampi.epoch.RunTrace` (epochs + potential matches),
-    the report's :class:`~repro.dampi.verifier.RunRecord` fields, engine
-    stats and piggyback counters (so resumed telemetry totals match), the
-    errors first witnessed at this run, and the error-dedup keys they
-    claimed.  Run 0 (the self run) additionally carries the
-    leak/monitor reports and the self-run aggregates.
+    the makespan, engine stats and piggyback counters, and the run's raw
+    checker facts — the deadlock's blocked map, the crash rows, the leak
+    report (run 0 also carries the monitor report).  Resume rebuilds a
+    result from the entry (:func:`result_from_entry`) and folds it
+    through the same report bookkeeping as a live run, so error dedup is
+    recomputed rather than stored.  ``osig`` and ``esc`` ride along
+    under pruning / adaptive clocks.
 ``failure``
     A replay lost to a worker crash/timeout: its schedule and the
     failure reason (resume replays the ``abandon()`` transition).
 ``checkpoint``
     A full :class:`~repro.dampi.explorer.ScheduleGenerator` snapshot
-    (path nodes with ``tried``/``alternatives``/``frozen``, counters)
-    plus the witnessed-outcome dedup cache, written every
-    ``DampiConfig.journal_checkpoint_interval`` entries — resume
-    fast-forwards the generator from the latest one and
+    (path nodes with ``tried``/``alternatives``/``frozen``, counters),
+    written every ``DampiConfig.journal_checkpoint_interval`` entries —
+    resume fast-forwards the generator from the latest one and
     transition-replays only the entries after it.
 ``end``
     Campaign completion marker with final counts (tooling/CI aid; a
@@ -79,8 +82,9 @@ from repro.dampi.epoch import EpochRecord, RunTrace
 from repro.dampi.explorer import DecisionNode, ScheduleGenerator
 from repro.dampi.leaks import CommLeak, LeakReport, RequestLeak
 from repro.dampi.monitor import MonitorReport, OmissionAlert
+from repro.errors import DeadlockError
 
-JOURNAL_VERSION = 1
+JOURNAL_VERSION = 2
 
 #: default segment rotation threshold (bytes)
 DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
@@ -101,7 +105,6 @@ SEMANTIC_CONFIG_FIELDS = (
     "enable_leak_check",
     "enable_monitor",
     "trace_ops",
-    "outcome_dedup",
     "prune",
     "adaptive_clocks",
 )
@@ -140,10 +143,14 @@ def trace_to_jsonable(trace: RunTrace) -> dict:
 
 
 def trace_from_jsonable(payload: dict) -> RunTrace:
-    epochs: dict[int, list[EpochRecord]] = {}
+    # every rank keyed, as in a live trace: the prune fingerprint hashes
+    # the per-rank rows, empty ones included
+    epochs: dict[int, list[EpochRecord]] = {
+        r: [] for r in range(payload["nprocs"])
+    }
     for raw in payload["epochs"]:
         e = epoch_from_jsonable(raw)
-        epochs.setdefault(e.rank, []).append(e)
+        epochs[e.rank].append(e)
     for rank_epochs in epochs.values():
         rank_epochs.sort(key=lambda e: e.index)
     return RunTrace(
@@ -209,17 +216,122 @@ def outcome_from_jsonable(payload: list) -> frozenset:
     return frozenset((tuple(key), src) for key, src in payload)
 
 
+# -- run entries ---------------------------------------------------------------
+
+
+def run_entry(
+    decisions: Optional[EpochDecisions],
+    result,
+    trace: RunTrace,
+    osig: Optional[str] = None,
+    esc: Optional[int] = None,
+) -> dict:
+    """Serialize one executed run: the journal's ``run`` entry (with
+    ``t``/``index`` added) and a distributed worker's streamed record.
+
+    Error dedup and ``error_kinds`` are global-order-dependent (an error
+    is reported only the first time its key is seen), so the entry ships
+    raw facts — the deadlock's blocked map, the primary errors as
+    ``(rank, type-name, message)`` rows, the leak report — and whoever
+    folds it recomputes dedup in walk order.  The self run (no
+    ``decisions``) also carries the monitor report, which only it feeds.
+    ``osig`` (the run's checker-outcome digest) and ``esc``
+    (alternatives injected by a clock escalation) ride along when
+    pruning/adaptive clocks are on, so the fold can rebuild run
+    signatures and escalation stats without the live result."""
+    pb = result.artifacts.get("piggyback")
+    entry = {
+        "key": decisions_to_jsonable(decisions) if decisions is not None else None,
+        "trace": trace_to_jsonable(trace),
+        "makespan": result.makespan,
+        "stats": dict(result.stats or {}),
+        "pb": dict(pb) if pb else None,
+        "leaks": leaks_to_jsonable(result.artifacts.get("leaks")),
+        "deadlock": (
+            [[r, op] for r, op in sorted(result.deadlock.blocked.items())]
+            if result.deadlocked
+            else None
+        ),
+        # primary_errors iterates rank-sorted; preserve that order so the
+        # fold's dedup sees errors exactly as the live loop does.
+        # DeadlockError rows are omitted (the report recorder skips them;
+        # the deadlock travels in its own field).
+        "errors": [
+            [rank, type(exc).__name__, str(exc)]
+            for rank, exc in result.primary_errors.items()
+            if not isinstance(exc, DeadlockError)
+        ],
+    }
+    if osig is not None:
+        entry["osig"] = osig
+    if esc is not None:
+        entry["esc"] = esc
+    if decisions is None:
+        entry["monitor"] = monitor_to_jsonable(result.artifacts.get("monitor"))
+    return entry
+
+
+#: dynamically rebuilt exception classes for remote crash rows, cached so
+#: equal type names compare equal across entries
+_EXC_CACHE: dict[str, type] = {}
+
+
+def _remote_exception(type_name: str, message: str) -> Exception:
+    cls = _EXC_CACHE.get(type_name)
+    if cls is None:
+        cls = _EXC_CACHE[type_name] = type(
+            type_name, (Exception,), {"__module__": "repro.dist.remote"}
+        )
+    return cls(message)
+
+
 @dataclass
-class JournaledResult:
-    """Duck-typed :class:`~repro.mpi.runtime.RunResult` stand-in fed to
-    telemetry while replaying a journal — carries exactly the fields
-    :meth:`CampaignTelemetry.record_run` reads (makespan, engine stats,
-    the piggyback artifact), so resumed ``engine.*``/``pb.*`` totals match
-    the uninterrupted run's."""
+class ShardResult:
+    """Duck-typed :class:`~repro.mpi.runtime.RunResult` rebuilt from a
+    run entry — exactly the fields report bookkeeping
+    (:meth:`DampiVerifier._record_run`) and telemetry
+    (:meth:`CampaignTelemetry.record_run`) read."""
 
     makespan: float = 0.0
     stats: dict = field(default_factory=dict)
     artifacts: dict = field(default_factory=dict)
+    deadlock: Optional[DeadlockError] = None
+    primary_errors: dict = field(default_factory=dict)
+
+    @property
+    def deadlocked(self) -> bool:
+        return self.deadlock is not None
+
+
+def result_from_entry(entry: dict) -> ShardResult:
+    """Rebuild the duck-typed result from a run entry.  The rebuilt
+    pieces reproduce the live report byte-for-byte: ``DeadlockError``
+    reconstructs from its blocked map (its message is derived from it),
+    and crash rows rebuild as dynamic exception types whose ``__name__``
+    and ``str()`` match the originals — the two things the error-dedup
+    keys and detail strings are made of."""
+    artifacts: dict = {}
+    if entry.get("pb"):
+        artifacts["piggyback"] = dict(entry["pb"])
+    leaks = leaks_from_jsonable(entry.get("leaks"))
+    if leaks is not None:
+        artifacts["leaks"] = leaks
+    if entry.get("monitor") is not None:
+        artifacts["monitor"] = monitor_from_jsonable(entry["monitor"])
+    deadlock = None
+    if entry.get("deadlock") is not None:
+        deadlock = DeadlockError({int(r): op for r, op in entry["deadlock"]})
+    primary = {
+        int(rank): _remote_exception(name, msg)
+        for rank, name, msg in entry.get("errors") or ()
+    }
+    return ShardResult(
+        makespan=entry["makespan"],
+        stats=dict(entry.get("stats") or {}),
+        artifacts=artifacts,
+        deadlock=deadlock,
+        primary_errors=primary,
+    )
 
 
 # -- generator snapshots -------------------------------------------------------
@@ -390,11 +502,19 @@ class CampaignJournal:
         self._load()
 
     @classmethod
-    def open(cls, journal) -> "CampaignJournal":
-        """Coerce a path or an existing journal into a journal."""
+    def open(
+        cls, journal, config, program_label: Optional[str] = None
+    ) -> "CampaignJournal":
+        """Coerce a path or an existing journal into a journal; a path
+        opens with ``config``'s segment size and fsync policy."""
         if isinstance(journal, CampaignJournal):
             return journal
-        return cls(journal)
+        return cls(
+            journal,
+            segment_bytes=config.journal_segment_bytes,
+            fsync=config.journal_fsync,
+            program_label=program_label,
+        )
 
     def bind(self, tracer=None, metrics=None) -> None:
         """Attach the campaign's telemetry sinks (journal events land in

@@ -27,6 +27,7 @@ from repro.dampi.decisions import EpochDecisions
 from repro.dampi.epoch import EpochKey, RunTrace
 from repro.dampi.explorer import ScheduleGenerator
 from repro.dampi.faults import FaultPlan
+from repro.dampi import journal as jr
 from repro.dampi.leaks import LeakCheckModule, LeakReport
 from repro.dampi.monitor import MonitorReport, OmissionMonitorModule
 from repro.dampi.parallel import ReplayExecutor, ReplaySpec
@@ -411,6 +412,35 @@ def completed_outcome(trace: RunTrace) -> frozenset:
     )
 
 
+def error_findings(result) -> list[tuple[str, str, str]]:
+    """Every defect one run exhibits, in report order, as ``(kind,
+    dedup key, detail)``: its deadlock, its crashes (rank order), its
+    communicator then request leaks.  A campaign reports each
+    ``(kind, key)`` once, at the first run that exhibits it."""
+    out = []
+    if result.deadlocked:
+        out.append(
+            ("deadlock", str(sorted(result.deadlock.blocked)), str(result.deadlock))
+        )
+    for rank, exc in result.primary_errors.items():
+        if isinstance(exc, DeadlockError):
+            continue
+        name = type(exc).__name__
+        out.append(("crash", f"{rank}:{name}:{exc}", f"rank {rank}: {name}: {exc}"))
+    leaks: Optional[LeakReport] = result.artifacts.get("leaks")
+    if leaks is not None:
+        out += [("communicator_leak", str(l), str(l)) for l in leaks.comm_leaks]
+        out += [("request_leak", str(l), str(l)) for l in leaks.request_leaks]
+    return out
+
+
+def count_escalation(esc_stats: dict, added: int) -> None:
+    """Account one precision replay that injected ``added`` alternatives."""
+    esc_stats["escalations"] += 1
+    esc_stats["escalation_replays"] += 1
+    esc_stats["extra_alternatives"] += added
+
+
 @dataclass
 class RunRecord:
     """Per-interleaving summary kept on the report."""
@@ -606,6 +636,170 @@ class VerificationReport:
                 f"  ... {len(self.runs) - limit} more runs (use --all)"
             )
         return "\n".join(lines)
+
+
+class CampaignFold:
+    """The one fold of a campaign (paper Fig. 1): each run's potential
+    matches go into the schedule generator, which emits the next epoch
+    decisions, and the run's facts go into the report.
+
+    Three drivers feed it entries ``(index, decisions, result | failure
+    reason, trace, osig, esc)``: :meth:`DampiVerifier.verify` by executing
+    runs, journal resume (:meth:`DampiVerifier._replay_journal`) by
+    decoding entries, and the distributed coordinator's assembly by
+    looking up worker records.  Everything that depends on the walk's
+    order lives here — the generator, error dedup, the self-run
+    aggregates, escalation and prune accounting, telemetry, the artifact
+    store — so the three drivers' reports agree by construction.
+    """
+
+    def __init__(self, verifier: "DampiVerifier", telemetry, started: float):
+        cfg = verifier.config
+        self.verifier = verifier
+        self.config = cfg
+        self.telemetry = telemetry
+        self.started = started
+        self.report = VerificationReport(nprocs=verifier.nprocs, config=cfg)
+        self.generator = ScheduleGenerator(
+            bound_k=cfg.bound_k,
+            auto_loop_threshold=cfg.auto_loop_threshold,
+            prune=cfg.prune,
+        )
+        #: error-dedup keys already reported
+        self.seen: set[tuple[str, str]] = set()
+        #: adaptive-escalation accounting (precision replays are *extra*
+        #: executions — not interleavings — so they are counted here, not
+        #: in the walk)
+        self.esc_stats = {
+            "escalations": 0,
+            "escalation_replays": 0,
+            "extra_alternatives": 0,
+        }
+        self.store = None
+        if cfg.artifacts_dir is not None:
+            from repro.dampi.artifacts import ArtifactStore
+
+            self.store = ArtifactStore(cfg.artifacts_dir)
+
+    def next_decisions(
+        self, deadline: Optional[float] = None
+    ) -> Optional[EpochDecisions]:
+        """The walk's next schedule, or None once it is exhausted or a
+        budget is spent — ``max_interleavings``, or the wall-clock
+        ``deadline`` only the live driver sets.  A spent budget marks the
+        report truncated."""
+        cfg = self.config
+        if (
+            cfg.max_interleavings is not None
+            and self.report.interleavings >= cfg.max_interleavings
+        ) or (deadline is not None and time.perf_counter() > deadline):
+            self.report.truncated = not self.generator.exhausted
+            return None
+        return self.generator.next_decisions()
+
+    def fold(
+        self,
+        index: int,
+        decisions: Optional[EpochDecisions],
+        outcome,
+        trace: Optional[RunTrace] = None,
+        osig: Optional[str] = None,
+        esc: Optional[int] = None,
+        walk: bool = True,
+        started=None,
+    ) -> Optional[int]:
+        """Fold one run.  ``outcome`` is its result, or the reason string
+        of a replay lost to a worker failure (then there is no trace).
+        ``walk=False`` leaves the generator alone: resume uses it for the
+        entries a restored checkpoint already holds.  Returns the replays
+        a subtree prune saved, None when the run pruned nothing."""
+        report = self.report
+        if isinstance(outcome, str):
+            if walk:
+                self.generator.abandon()
+            self.verifier._record_worker_failure(
+                report, index, decisions, outcome, self.seen
+            )
+            self.telemetry.record_failure(index, outcome)
+            return None
+        result = outcome
+        if esc is not None:
+            count_escalation(self.esc_stats, esc)
+        if self.store is not None:
+            self.store.write_run(index, trace, decisions)
+        saved = None
+        if walk:
+            signature = (
+                prune_mod.RunSignature(trace, osig)
+                if self.config.prune and osig is not None
+                else None
+            )
+            before = self.generator.replays_saved
+            if index == 0:
+                self.generator.seed(trace, signature=signature)
+            elif self.generator.integrate(trace, signature=signature):
+                saved = self.generator.replays_saved - before
+        self.verifier._record_run(report, index, decisions, result, trace, self.seen)
+        rec = report.runs[-1]
+        self.telemetry.record_run(
+            index,
+            result,
+            trace,
+            flip=rec.flip,
+            error_kinds=rec.error_kinds,
+            started=started,
+        )
+        if index == 0:
+            report.wildcards_analyzed = trace.wildcard_count
+            report.self_run_vtime = result.makespan
+            report.leak_report = result.artifacts.get("leaks")
+            report.monitor_report = result.artifacts.get("monitor")
+        return saved
+
+    def fold_entry(self, index: int, entry: dict, walk: bool = True) -> None:
+        """Decode and fold one run entry (:func:`repro.dampi.journal.run_entry`
+        format): a journaled run or a distributed worker's record."""
+        self.fold(
+            index,
+            jr.decisions_from_jsonable(entry["key"]) if entry.get("key") else None,
+            jr.result_from_entry(entry),
+            jr.trace_from_jsonable(entry["trace"]),
+            entry.get("osig"),
+            entry.get("esc"),
+            walk=walk,
+        )
+
+    def finish(
+        self, parallel_stats: dict, journal_stats: Optional[dict] = None
+    ) -> VerificationReport:
+        """Close the campaign: walk counters, the prune block and its
+        ``prune.*`` counters, journal accounting, wall clock, telemetry."""
+        cfg = self.config
+        report = self.report
+        gen = self.generator
+        m = self.telemetry.metrics
+        report.divergences = gen.divergences
+        report.bound_frozen = gen.distance_frozen
+        report.parallel_stats = parallel_stats
+        if cfg.prune or cfg.adaptive_clocks:
+            esc = self.esc_stats
+            report.prune_stats = {
+                "enabled": cfg.prune,
+                "adaptive_clocks": cfg.adaptive_clocks,
+                "subtrees_pruned": gen.prunes,
+                "replays_saved": gen.replays_saved,
+                **esc,
+            }
+            m.counter("prune.subtrees").inc(gen.prunes)
+            for name in ("replays_saved", *esc):
+                m.counter(f"prune.{name}").inc(report.prune_stats[name])
+        if journal_stats is not None:
+            report.journal_stats = journal_stats
+            m.gauge("journal.replayed_runs").set(journal_stats["replayed"])
+            m.gauge("journal.executed_runs").set(journal_stats["executed"])
+        report.wall_seconds = time.perf_counter() - self.started
+        self.telemetry.finalize(report)
+        return report
 
 
 class DampiVerifier:
@@ -823,7 +1017,9 @@ class DampiVerifier:
         from ``config.jobs`` (or passed in by benchmarks), which may
         pre-compute the frontier wave on a worker pool.  Reports are
         bit-identical across ``jobs`` settings; see
-        :mod:`repro.dampi.parallel`.
+        :mod:`repro.dampi.parallel`.  Every executed run goes through the
+        :class:`CampaignFold`, like journal resume and distributed
+        assembly.
 
         ``journal`` (a directory path or a
         :class:`~repro.dampi.journal.CampaignJournal`) makes the session
@@ -837,41 +1033,15 @@ class DampiVerifier:
         one-shot faults stay one-shot across stages).
         """
         cfg = self.config
-        report = VerificationReport(nprocs=self.nprocs, config=cfg)
         telemetry = CampaignTelemetry(cfg)
         started = time.perf_counter()
+        deadline = None if cfg.max_seconds is None else started + cfg.max_seconds
         if faults is not None:
             self._faults = faults
         faults = self._faults
-        generator = ScheduleGenerator(
-            bound_k=cfg.bound_k,
-            auto_loop_threshold=cfg.auto_loop_threshold,
-            prune=cfg.prune,
-        )
-        seen_error_keys: set[tuple[str, str]] = set()
-        witnessed_outcomes: set[frozenset] = set()
-        #: adaptive-escalation accounting (precision replays are *extra*
-        #: executions — not interleavings — so they are counted here, not
-        #: in the walk)
-        esc_stats = {
-            "escalations": 0,
-            "escalation_replays": 0,
-            "extra_alternatives": 0,
-        }
-        store = None
-        if cfg.artifacts_dir is not None:
-            from repro.dampi.artifacts import ArtifactStore
-
-            store = ArtifactStore(cfg.artifacts_dir)
+        fold = CampaignFold(self, telemetry, started)
         if journal is not None:
-            from repro.dampi.journal import CampaignJournal
-
-            if not isinstance(journal, CampaignJournal):
-                journal = CampaignJournal(
-                    journal,
-                    segment_bytes=cfg.journal_segment_bytes,
-                    fsync=cfg.journal_fsync,
-                )
+            journal = jr.CampaignJournal.open(journal, cfg)
             journal.bind(tracer=telemetry.tracer, metrics=telemetry.metrics)
             journal.ensure_meta(
                 self.nprocs, cfg, kwargs=self.kwargs, prog_args=self.args
@@ -879,13 +1049,8 @@ class DampiVerifier:
 
         history = journal.run_entries() if journal is not None else []
         replayed = len(history)
-        applied = replayed  # run/failure entries journaled so far
-        run_index = 0
         if history:
-            run_index, generator = self._replay_journal(
-                journal, history, report, telemetry, generator,
-                seen_error_keys, witnessed_outcomes, store, esc_stats,
-            )
+            run_index = self._replay_journal(journal, history, fold)
         else:
             if faults:
                 faults.fire(
@@ -893,52 +1058,17 @@ class DampiVerifier:
                 )
             tele_token = telemetry.run_started()
             result, trace = self.run_once()
-            esc = self._escalate(None, trace, esc_stats)
-            signature = (
-                prune_mod.signature_of(result, trace) if cfg.prune else None
-            )
-            if store is not None:
-                store.write_run(0, trace)
-            pre_seen = set(seen_error_keys)
-            self._record_run(report, 0, None, result, trace, seen_error_keys)
-            telemetry.record_run(
-                0,
-                result,
-                trace,
-                flip=None,
-                error_kinds=report.runs[-1].error_kinds,
-                started=tele_token,
-            )
-            report.wildcards_analyzed = trace.wildcard_count
-            report.self_run_vtime = result.makespan
-            report.leak_report = result.artifacts.get("leaks")
-            report.monitor_report = result.artifacts.get("monitor")
-            generator.seed(trace, signature=signature)
-            witnessed_outcomes.add(report.runs[0].outcome)
-            if journal is not None:
-                journal.append(
-                    self._journal_run_entry(
-                        0, None, result, trace, report, 0, seen_error_keys,
-                        pre_seen, signature=signature, esc=esc,
-                    )
-                )
-                applied = 1
+            self._fold_live_run(fold, journal, 0, None, result, trace, tele_token)
+            run_index = 0
         if executor is None:
             executor = self._make_executor(telemetry)
 
         executed = 0 if history else 1  # the live self run counts as executed
-        since_checkpoint = 0
         try:
             while True:
-                if cfg.max_interleavings is not None and report.interleavings >= cfg.max_interleavings:
-                    report.truncated = not generator.exhausted
-                    break
-                if cfg.max_seconds is not None and time.perf_counter() - started > cfg.max_seconds:
-                    report.truncated = not generator.exhausted
-                    break
                 width = executor.wave_width
-                batch = generator.next_decision_batch(width) if width else ()
-                decisions = generator.next_decisions()
+                batch = fold.generator.next_decision_batch(width) if width else ()
+                decisions = fold.next_decisions(deadline)
                 if decisions is None:
                     break
                 run_index += 1
@@ -950,82 +1080,32 @@ class DampiVerifier:
                         metrics=telemetry.metrics,
                     )
                 tele_token = telemetry.run_started()
-                n_err = len(report.errors)
-                pre_seen = set(seen_error_keys) if journal is not None else set()
                 outcome = executor.run(decisions, batch)
                 executed += 1
                 if outcome.failure is not None:
-                    generator.abandon()
-                    self._record_worker_failure(
-                        report, run_index, decisions, outcome.failure, seen_error_keys
-                    )
-                    telemetry.record_failure(run_index, outcome.failure)
+                    fold.fold(run_index, decisions, outcome.failure)
                     if journal is not None:
                         journal.append(
                             self._journal_failure_entry(
-                                run_index, decisions, outcome.failure,
-                                report, n_err, seen_error_keys, pre_seen,
+                                run_index, decisions, outcome.failure
                             )
                         )
-                        applied += 1
-                        since_checkpoint += 1
-                    telemetry.heartbeat(report.interleavings, generator, executor)
-                    continue
-                result, trace = outcome.result, outcome.trace
-                esc = self._escalate(decisions, trace, esc_stats)
-                if store is not None:
-                    store.write_run(run_index, trace, decisions)
-                fingerprint = completed_outcome(trace)
-                signature = (
-                    prune_mod.signature_of(result, trace) if cfg.prune else None
-                )
-                saved_before = generator.replays_saved
-                pruned = generator.integrate(
-                    trace,
-                    seed_fresh=not (
-                        cfg.outcome_dedup and fingerprint in witnessed_outcomes
-                    ),
-                    signature=signature,
-                )
-                witnessed_outcomes.add(fingerprint)
-                self._record_run(report, run_index, decisions, result, trace, seen_error_keys)
-                rec = report.runs[-1]
-                telemetry.record_run(
-                    run_index,
-                    result,
-                    trace,
-                    flip=rec.flip,
-                    error_kinds=rec.error_kinds,
-                    started=tele_token,
-                )
-                if journal is not None:
-                    journal.append(
-                        self._journal_run_entry(
-                            run_index, decisions, result, trace,
-                            report, n_err, seen_error_keys, pre_seen,
-                            signature=signature, esc=esc,
-                        )
+                else:
+                    self._fold_live_run(
+                        fold, journal, run_index, decisions,
+                        outcome.result, outcome.trace, tele_token,
                     )
-                    applied += 1
-                    since_checkpoint += 1
-                    if pruned:
-                        # audit record: resume re-derives the decision from
-                        # the run entry's trace + osig, so this is purely
-                        # for `repro stats` visibility and postmortems
-                        journal.append(
-                            {
-                                "t": "prune",
-                                "index": run_index,
-                                "flip": list(rec.flip) if rec.flip else None,
-                                "saved": generator.replays_saved - saved_before,
-                            }
-                        )
-                    if since_checkpoint >= cfg.journal_checkpoint_interval:
-                        self._journal_checkpoint(
-                            journal, applied, generator, witnessed_outcomes, telemetry
-                        )
-                        since_checkpoint = 0
-                telemetry.heartbeat(report.interleavings, generator, executor)
+                applied = replayed + executed  # run/failure entries journaled
+                if (
+                    journal is not None
+                    and applied % cfg.journal_checkpoint_interval == 0
+                ):
+                    self._journal_checkpoint(
+                        journal, applied, fold.generator, telemetry
+                    )
+                telemetry.heartbeat(
+                    fold.report.interleavings, fold.generator, executor
+                )
         finally:
             # the journal needs no explicit cleanup here: every append is
             # already flushed+fsync'd, and the normal path below writes the
@@ -1033,49 +1113,63 @@ class DampiVerifier:
             executor.close()
             self.close()
 
-        report.divergences = generator.divergences
-        report.bound_frozen = generator.distance_frozen
-        report.parallel_stats = executor.stats()
-        report.wall_seconds = time.perf_counter() - started
-        telemetry.record_executor(report.parallel_stats)
-        if cfg.prune or cfg.adaptive_clocks:
-            report.prune_stats = {
-                "enabled": cfg.prune,
-                "adaptive_clocks": cfg.adaptive_clocks,
-                "subtrees_pruned": generator.prunes,
-                "replays_saved": generator.replays_saved,
-                **esc_stats,
-            }
-            m = telemetry.metrics
-            m.counter("prune.subtrees").inc(generator.prunes)
-            m.counter("prune.replays_saved").inc(generator.replays_saved)
-            m.counter("prune.escalations").inc(esc_stats["escalations"])
-            m.counter("prune.escalation_replays").inc(
-                esc_stats["escalation_replays"]
-            )
-            m.counter("prune.extra_alternatives").inc(
-                esc_stats["extra_alternatives"]
-            )
+        parallel_stats = executor.stats()
+        telemetry.record_executor(parallel_stats)
+        journal_stats = None
         if journal is not None:
             journal.append(
                 {
                     "t": "end",
-                    "interleavings": report.interleavings,
-                    "truncated": report.truncated,
+                    "interleavings": fold.report.interleavings,
+                    "truncated": fold.report.truncated,
                 }
             )
             journal.close()
-            report.journal_stats = {
+            journal_stats = {
                 "dir": str(journal.root),
                 "replayed": replayed,
                 "executed": executed,
             }
-            telemetry.metrics.gauge("journal.replayed_runs").set(replayed)
-            telemetry.metrics.gauge("journal.executed_runs").set(executed)
-        telemetry.finalize(report)
-        return report
+        return fold.finish(parallel_stats, journal_stats)
 
-    def _escalate(self, decisions, trace, esc_stats) -> Optional[int]:
+    def _fold_live_run(
+        self, fold, journal, index, decisions, result, trace, started
+    ) -> None:
+        """Fold one executed run, then journal it, plus a prune audit
+        record when the run pruned its flip's subtree."""
+        osig, esc = self._entry_facts(decisions, result, trace)
+        saved = fold.fold(index, decisions, result, trace, osig, esc, started=started)
+        if journal is None:
+            return
+        journal.append(
+            self._journal_run_entry(index, decisions, result, trace, osig, esc)
+        )
+        if saved is not None:
+            # audit record: resume re-derives the decision from the run
+            # entry's trace + osig, so this is purely for `repro stats`
+            # visibility and postmortems
+            journal.append(
+                {
+                    "t": "prune",
+                    "index": index,
+                    "flip": list(decisions.flip),
+                    "saved": saved,
+                }
+            )
+
+    def _entry_facts(
+        self, decisions, result, trace, esc_stats=None
+    ) -> tuple[Optional[str], Optional[int]]:
+        """What a run entry carries besides the run: ``(osig, esc)``.
+        The trace is escalated first, in place, so everything downstream
+        — the fold, the journal, a coordinator, a shard memo — sees the
+        augmented trace; the outcome digest (pruning only) follows."""
+        esc = self._escalate(decisions, trace, esc_stats)
+        if not self.config.prune:
+            return None, esc
+        return prune_mod.outcome_digest(result, trace), esc
+
+    def _escalate(self, decisions, trace, esc_stats=None) -> Optional[int]:
         """Adaptive clock escalation hook (no-op unless
         ``config.adaptive_clocks`` and the run flagged scalar risk): one
         vector-clock precision replay, whose vector-only alternatives are
@@ -1083,7 +1177,9 @@ class DampiVerifier:
         the artifact store, or the generator — so every downstream
         consumer (resume, dist assembly) inherits the augmented trace for
         free.  Returns the injected-alternative count, or None when no
-        escalation ran (the journal entry omits the field)."""
+        escalation ran (the run entry omits the field).  ``esc_stats``,
+        when given, accumulates the counts (the campaign fold derives its
+        own from the returned value)."""
         if not self.config.adaptive_clocks or not trace.scalar_risk:
             return None
         added = prune_mod.escalate_trace(
@@ -1095,25 +1191,19 @@ class DampiVerifier:
             args=self.args,
             kwargs=self.kwargs,
         )
-        esc_stats["escalations"] += 1
-        esc_stats["escalation_replays"] += 1
-        esc_stats["extra_alternatives"] += added
+        if esc_stats is not None:
+            count_escalation(esc_stats, added)
         return added
 
     # -- journal plumbing ---------------------------------------------------------
 
-    def _replay_journal(
-        self, journal, history, report, telemetry, generator,
-        seen, witnessed, store, esc_stats,
-    ):
+    def _replay_journal(self, journal, history, fold) -> int:
         """Rebuild the session state from a journal without executing
-        anything: report state comes straight from the entries; DFS state
-        is recovered by *transition replay* — feeding each journaled trace
-        back through the generator's own ``seed``/``integrate``/``abandon``
-        (deterministic, so the rebuilt state is bit-identical) — with a
-        fast-forward from the latest checkpoint when one exists."""
-        from repro.dampi import journal as jr
-
+        anything: every entry is decoded and folded exactly like a live
+        run, so report state and DFS state are recovered by *transition
+        replay* (deterministic, so the rebuilt state is bit-identical) —
+        with a fast-forward from the latest checkpoint when one exists.
+        Returns the last journaled run index."""
         ckpt = journal.latest_checkpoint()
         fast_forward = 0
         if ckpt is not None:
@@ -1123,71 +1213,30 @@ class DampiVerifier:
                     f"journal {journal.root}: checkpoint claims "
                     f"{fast_forward} entries but only {len(history)} exist"
                 )
-        run_index = 0
         for i, entry in enumerate(history):
-            live = i >= fast_forward
-            run_index = entry["index"]
+            # entries before the checkpoint only feed the report: the
+            # restored generator already holds their walk transitions
+            walk = i >= fast_forward
+            if walk and entry["index"] > 0:
+                self._check_journal_schedule(
+                    journal, entry, fold.next_decisions()
+                )
             if entry["t"] == "failure":
-                if live:
-                    decisions = generator.next_decisions()
-                    self._check_journal_schedule(journal, entry, decisions)
-                    generator.abandon()
-                self._apply_failure_entry(entry, report, telemetry, seen)
+                self._apply_failure_entry(fold, entry, walk)
             else:
-                trace = jr.trace_from_jsonable(entry["trace"])
-                fingerprint = completed_outcome(trace)
-                if entry.get("esc") is not None:
-                    esc_stats["escalations"] += 1
-                    esc_stats["escalation_replays"] += 1
-                    esc_stats["extra_alternatives"] += entry["esc"]
-                # the stored trace already carries any escalation-injected
-                # alternatives; the outcome digest rides the entry, so the
-                # pruning decision replays deterministically without
-                # re-running anything
-                signature = (
-                    prune_mod.RunSignature(trace, entry["osig"])
-                    if self.config.prune and entry.get("osig") is not None
-                    else None
-                )
-                if run_index == 0:
-                    if live:
-                        generator.seed(trace, signature=signature)
-                elif live:
-                    decisions = generator.next_decisions()
-                    self._check_journal_schedule(journal, entry, decisions)
-                    generator.integrate(
-                        trace,
-                        seed_fresh=not (
-                            self.config.outcome_dedup and fingerprint in witnessed
-                        ),
-                        signature=signature,
-                    )
-                witnessed.add(fingerprint)
-                self._apply_run_entry(entry, trace, report, telemetry, seen)
-                if store is not None:
-                    decisions = (
-                        jr.decisions_from_jsonable(entry["key"])
-                        if entry.get("key")
-                        else None
-                    )
-                    store.write_run(run_index, trace, decisions)
+                self._apply_run_entry(fold, entry, walk)
             if i + 1 == fast_forward:
-                generator = jr.restore_generator(ckpt["generator"])
-                witnessed.clear()
-                witnessed.update(
-                    jr.outcome_from_jsonable(o) for o in ckpt["witnessed"]
-                )
-        if telemetry.tracer is not None:
-            telemetry.tracer.instant(
+                fold.generator = jr.restore_generator(ckpt["generator"])
+        if fold.telemetry.tracer is not None:
+            fold.telemetry.tracer.instant(
                 "journal_resume", "journal", replayed=len(history)
             )
-        return run_index, generator
+        return history[-1]["index"]
 
     def _check_journal_schedule(self, journal, entry, decisions) -> None:
         """A journaled entry must match what the deterministic walk asks
         for at that point — anything else means the program, its inputs,
         or the config changed under the journal."""
-        from repro.dampi import journal as jr
         from repro.dampi.parallel import schedule_key
 
         expected = (
@@ -1207,169 +1256,40 @@ class DampiVerifier:
                 f"was written?"
             )
 
-    def _apply_entry_errors(self, entry, report, seen) -> None:
-        from repro.dampi import journal as jr
+    def _apply_run_entry(self, fold, entry, walk) -> None:
+        fold.fold_entry(entry["index"], entry, walk=walk)
 
-        for err in entry.get("errors", ()):
-            decisions = (
-                jr.decisions_from_jsonable(err["decisions"])
-                if err.get("decisions")
-                else None
-            )
-            report.errors.append(
-                FoundError(err["kind"], err["run_index"], err["detail"], decisions)
-            )
-        seen.update(tuple(k) for k in entry.get("seen", ()))
-
-    def _apply_run_entry(self, entry, trace, report, telemetry, seen) -> None:
-        from repro.dampi import journal as jr
-
-        rec = entry["record"]
-        flip = tuple(rec["flip"]) if rec.get("flip") else None
-        report.interleavings += 1
-        report.total_vtime += rec["makespan"]
-        self._apply_entry_errors(entry, report, seen)
-        report.runs.append(
-            RunRecord(
-                index=entry["index"],
-                makespan=rec["makespan"],
-                wildcard_count=rec["wildcard_count"],
-                error_kinds=tuple(rec["error_kinds"]),
-                diverged=rec["diverged"],
-                flip=flip,
-                outcome=completed_outcome(trace),
-            )
-        )
-        if self.config.keep_traces:
-            report.traces.append(trace)
-        result = jr.JournaledResult(
-            makespan=rec["makespan"],
-            stats=entry.get("stats") or {},
-            artifacts=(
-                {"piggyback": entry["pb"]} if entry.get("pb") else {}
-            ),
-        )
-        telemetry.record_run(
+    def _apply_failure_entry(self, fold, entry, walk) -> None:
+        fold.fold(
             entry["index"],
-            result,
-            trace,
-            flip=flip,
-            error_kinds=tuple(rec["error_kinds"]),
-            started=None,
+            jr.decisions_from_jsonable(entry["key"]),
+            entry["reason"],
+            walk=walk,
         )
-        extras = entry.get("extras")
-        if extras:
-            report.wildcards_analyzed = extras["wildcards_analyzed"]
-            report.self_run_vtime = extras["self_run_vtime"]
-            report.leak_report = jr.leaks_from_jsonable(extras["leaks"])
-            report.monitor_report = jr.monitor_from_jsonable(extras["monitor"])
-
-    def _apply_failure_entry(self, entry, report, telemetry, seen) -> None:
-        rec = entry["record"]
-        report.interleavings += 1
-        self._apply_entry_errors(entry, report, seen)
-        report.runs.append(
-            RunRecord(
-                index=entry["index"],
-                makespan=rec["makespan"],
-                wildcard_count=rec["wildcard_count"],
-                error_kinds=tuple(rec["error_kinds"]),
-                diverged=rec["diverged"],
-                flip=tuple(rec["flip"]) if rec.get("flip") else None,
-                outcome=frozenset(),
-            )
-        )
-        telemetry.record_failure(entry["index"], entry["reason"])
-
-    def _jsonable_error(self, error: FoundError) -> dict:
-        from repro.dampi import journal as jr
-
-        return {
-            "kind": error.kind,
-            "run_index": error.run_index,
-            "detail": error.detail,
-            "decisions": (
-                jr.decisions_to_jsonable(error.decisions)
-                if error.decisions is not None
-                else None
-            ),
-        }
 
     def _journal_run_entry(
-        self, index, decisions, result, trace, report, n_err, seen, pre_seen,
-        signature=None, esc=None,
+        self, index, decisions, result, trace, osig=None, esc=None
     ) -> dict:
-        from repro.dampi import journal as jr
-
-        rec = report.runs[-1]
-        pb = result.artifacts.get("piggyback")
-        entry = {
+        return {
             "t": "run",
             "index": index,
-            "key": (
-                jr.decisions_to_jsonable(decisions) if decisions is not None else None
-            ),
-            "trace": jr.trace_to_jsonable(trace),
-            "record": {
-                "makespan": rec.makespan,
-                "wildcard_count": rec.wildcard_count,
-                "error_kinds": list(rec.error_kinds),
-                "diverged": rec.diverged,
-                "flip": list(rec.flip) if rec.flip else None,
-            },
-            "stats": dict(result.stats or {}),
-            "pb": dict(pb) if pb else None,
-            "errors": [self._jsonable_error(e) for e in report.errors[n_err:]],
-            "seen": sorted(list(k) for k in (seen - pre_seen)),
+            **jr.run_entry(decisions, result, trace, osig=osig, esc=esc),
         }
-        if signature is not None:
-            entry["osig"] = signature.osig
-        if esc is not None:
-            entry["esc"] = esc
-        if index == 0:
-            entry["extras"] = {
-                "wildcards_analyzed": report.wildcards_analyzed,
-                "self_run_vtime": report.self_run_vtime,
-                "leaks": jr.leaks_to_jsonable(report.leak_report),
-                "monitor": jr.monitor_to_jsonable(report.monitor_report),
-            }
-        return entry
 
-    def _journal_failure_entry(
-        self, index, decisions, reason, report, n_err, seen, pre_seen
-    ) -> dict:
-        from repro.dampi import journal as jr
-
-        rec = report.runs[-1]
+    def _journal_failure_entry(self, index, decisions, reason) -> dict:
         return {
             "t": "failure",
             "index": index,
             "key": jr.decisions_to_jsonable(decisions),
             "reason": reason,
-            "record": {
-                "makespan": rec.makespan,
-                "wildcard_count": rec.wildcard_count,
-                "error_kinds": list(rec.error_kinds),
-                "diverged": rec.diverged,
-                "flip": list(rec.flip) if rec.flip else None,
-            },
-            "errors": [self._jsonable_error(e) for e in report.errors[n_err:]],
-            "seen": sorted(list(k) for k in (seen - pre_seen)),
         }
 
-    def _journal_checkpoint(
-        self, journal, applied, generator, witnessed, telemetry
-    ) -> None:
-        from repro.dampi import journal as jr
-
+    def _journal_checkpoint(self, journal, applied, generator, telemetry) -> None:
         journal.append(
             {
                 "t": "checkpoint",
                 "applied": applied,
                 "generator": jr.snapshot_generator(generator),
-                "witnessed": sorted(
-                    jr.outcome_to_jsonable(o) for o in witnessed
-                ),
             }
         )
         if telemetry.tracer is not None:
@@ -1416,48 +1336,14 @@ class DampiVerifier:
         report.interleavings += 1
         report.total_vtime += result.makespan
         kinds = []
-        if result.deadlocked:
-            kinds.append("deadlock")
-            key = ("deadlock", str(sorted(result.deadlock.blocked)))
-            if key not in seen:
-                seen.add(key)
-                report.errors.append(
-                    FoundError("deadlock", index, str(result.deadlock), decisions)
-                )
-        for rank, exc in result.primary_errors.items():
-            if isinstance(exc, DeadlockError):
-                continue
-            kinds.append("crash")
-            key = ("crash", f"{rank}:{type(exc).__name__}:{exc}")
-            if key not in seen:
-                seen.add(key)
-                report.errors.append(
-                    FoundError(
-                        "crash",
-                        index,
-                        f"rank {rank}: {type(exc).__name__}: {exc}",
-                        decisions,
-                    )
-                )
-        leaks: Optional[LeakReport] = result.artifacts.get("leaks")
-        if leaks is not None:
-            for leak in leaks.comm_leaks:
-                key = ("communicator_leak", str(leak))
-                if key not in seen:
-                    seen.add(key)
-                    kinds.append("communicator_leak")
-                    report.errors.append(
-                        FoundError("communicator_leak", index, str(leak), decisions)
-                    )
-            for leak in leaks.request_leaks:
-                key = ("request_leak", str(leak))
-                if key not in seen:
-                    seen.add(key)
-                    kinds.append("request_leak")
-                    report.errors.append(
-                        FoundError("request_leak", index, str(leak), decisions)
-                    )
-        outcome = completed_outcome(trace)
+        for kind, key, detail in error_findings(result):
+            new = (kind, key) not in seen
+            if new:
+                seen.add((kind, key))
+                report.errors.append(FoundError(kind, index, detail, decisions))
+            # a leak kind is listed only where it was first reported
+            if new or kind in ("deadlock", "crash"):
+                kinds.append(kind)
         report.runs.append(
             RunRecord(
                 index=index,
@@ -1466,7 +1352,7 @@ class DampiVerifier:
                 error_kinds=tuple(kinds),
                 diverged=trace.diverged,
                 flip=decisions.flip if decisions else None,
-                outcome=outcome,
+                outcome=completed_outcome(trace),
             )
         )
         if self.config.keep_traces:

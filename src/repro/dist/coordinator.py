@@ -14,14 +14,16 @@ Bit-identity
 ------------
 The report is **assembled**, not accumulated.  Every global quantity in
 a serial report — run indices, error dedup, ``error_kinds`` order,
-outcome-dedup pruning, budget truncation — depends on the serial walk's
-total order, which concurrent workers cannot reproduce.  So the
-coordinator collects records keyed by their canonical schedule
+subtree pruning, budget truncation — depends on the serial walk's total
+order, which concurrent workers cannot reproduce.  So the coordinator
+collects records keyed by their canonical schedule
 (:func:`~repro.dist.protocol.entry_schedule_key`) and, once exploration
 is done, *re-runs the serial verify loop without executing anything*:
-fresh generator, ``next_decisions()``, look the schedule up in the
-record map, ``integrate`` its trace, record it with the verifier's own
-bookkeeping.  The walk is a deterministic function of the traces, so the
+it feeds the records, in walk order, to the same
+:class:`~repro.dampi.verifier.CampaignFold` that serial ``verify()`` and
+journal resume feed — ``next_decisions()``, look the schedule up in the
+record map, fold it.  Records use the campaign journal's ``run`` entry
+format.  The walk is a deterministic function of the traces, so the
 assembled report is bit-identical to serial ``verify()`` by
 construction; a missing schedule is a hard :class:`DistError` (coverage
 hole), never a silent gap.
@@ -70,23 +72,20 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from repro.dampi import prune as prune_mod
 from repro.dampi.config import DampiConfig
 from repro.dampi.explorer import ScheduleGenerator
-from repro.dampi.journal import CampaignJournal, trace_from_jsonable
+from repro.dampi.journal import CampaignJournal, run_entry, trace_from_jsonable
 from repro.dampi.parallel import schedule_key
 from repro.dampi.verifier import (
+    CampaignFold,
     CampaignTelemetry,
     DampiVerifier,
     VerificationReport,
-    completed_outcome,
 )
 from repro.dist.leases import Lease, LeaseTable
 from repro.dist.protocol import (
     DistError,
     entry_schedule_key,
-    result_from_entry,
-    run_entry,
     send_frame,
     start_reader,
     unpack_events,
@@ -166,19 +165,10 @@ class DistCoordinator:
         self.self_entry: Optional[dict] = None
         self.journal: Optional[CampaignJournal] = None
         if journal is not None:
-            cfg = self.config
-            self.journal = (
-                journal
-                if isinstance(journal, CampaignJournal)
-                else CampaignJournal(
-                    journal,
-                    segment_bytes=cfg.journal_segment_bytes,
-                    fsync=cfg.journal_fsync,
-                )
-            )
+            self.journal = CampaignJournal.open(journal, self.config)
             self.journal.ensure_meta(
                 nprocs,
-                cfg,
+                self.config,
                 kwargs=self.kwargs,
                 prog_args=args,
                 mode="dist",
@@ -247,25 +237,9 @@ class DistCoordinator:
             if faults:
                 faults.fire("self", metrics=self.metrics)
             result, trace = self.verifier.run_once()
-            # augment the trace before it is journaled: resume and the
-            # assembly walk then replay the escalation deterministically
-            esc = self.verifier._escalate(
-                None, trace, {"escalations": 0, "escalation_replays": 0,
-                              "extra_alternatives": 0}
-            )
+            osig, esc = self.verifier._entry_facts(None, result, trace)
             self.verifier.close()
-            self.self_entry = run_entry(
-                None,
-                result,
-                trace,
-                include_monitor=True,
-                osig=(
-                    prune_mod.outcome_digest(result, trace)
-                    if cfg.prune
-                    else None
-                ),
-                esc=esc,
-            )
+            self.self_entry = run_entry(None, result, trace, osig=osig, esc=esc)
             self._journal_append({"t": "dself", "entry": self.self_entry})
         self_trace = trace_from_jsonable(self.self_entry["trace"])
         # Enumerate the initial frontier.  On resume this re-derives the
@@ -584,69 +558,16 @@ class DistCoordinator:
 
     def _assemble(self, started: float) -> VerificationReport:
         """The serial verify loop, re-run as a pure function of collected
-        traces (see module doc: bit-identity by construction)."""
-        cfg = self.config
-        report = VerificationReport(nprocs=self.nprocs, config=cfg)
+        records through the same :class:`CampaignFold` (see module doc:
+        bit-identity by construction)."""
         telemetry = CampaignTelemetry(
-            replace(cfg, progress_interval_seconds=None, trace_events=False),
+            replace(self.config, progress_interval_seconds=None, trace_events=False),
             stream=self._stream,
         )
-        generator = ScheduleGenerator(
-            bound_k=cfg.bound_k,
-            auto_loop_threshold=cfg.auto_loop_threshold,
-            prune=cfg.prune,
-        )
-        seen: set = set()
-        witnessed: set = set()
-        esc_stats = {
-            "escalations": 0,
-            "escalation_replays": 0,
-            "extra_alternatives": 0,
-        }
-
-        def note_esc(entry: dict) -> None:
-            # escalation stats are re-derived from the entries the walk
-            # actually uses — matching what a serial pruned campaign runs
-            if entry.get("esc") is not None:
-                esc_stats["escalations"] += 1
-                esc_stats["escalation_replays"] += 1
-                esc_stats["extra_alternatives"] += entry["esc"]
-
-        def entry_signature(entry: dict, trace):
-            if cfg.prune and entry.get("osig") is not None:
-                return prune_mod.RunSignature(trace, entry["osig"])
-            return None
-
-        rec0 = self.self_entry
-        trace = trace_from_jsonable(rec0["trace"])
-        result = result_from_entry(rec0)
-        self.verifier._record_run(report, 0, None, result, trace, seen)
-        telemetry.record_run(
-            0,
-            result,
-            trace,
-            flip=None,
-            error_kinds=report.runs[-1].error_kinds,
-            started=None,
-        )
-        report.wildcards_analyzed = trace.wildcard_count
-        report.self_run_vtime = result.makespan
-        report.leak_report = result.artifacts.get("leaks")
-        report.monitor_report = result.artifacts.get("monitor")
-        generator.seed(trace, signature=entry_signature(rec0, trace))
-        note_esc(rec0)
-        witnessed.add(report.runs[0].outcome)
+        fold = CampaignFold(self.verifier, telemetry, started)
+        fold.fold_entry(0, self.self_entry)
         run_index = 0
-        while True:
-            if (
-                cfg.max_interleavings is not None
-                and report.interleavings >= cfg.max_interleavings
-            ):
-                report.truncated = not generator.exhausted
-                break
-            decisions = generator.next_decisions()
-            if decisions is None:
-                break
+        while (decisions := fold.next_decisions()) is not None:
             run_index += 1
             entry = self.recs.get(schedule_key(decisions))
             if entry is None:
@@ -656,72 +577,29 @@ class DistCoordinator:
                     f"record covers it ({len(self.recs)} records collected) "
                     f"— a lease finished without streaming all its runs"
                 )
-            trace = trace_from_jsonable(entry["trace"])
-            result = result_from_entry(entry)
-            fingerprint = completed_outcome(trace)
-            generator.integrate(
-                trace,
-                seed_fresh=not (
-                    cfg.outcome_dedup and fingerprint in witnessed
-                ),
-                signature=entry_signature(entry, trace),
-            )
-            note_esc(entry)
-            witnessed.add(fingerprint)
-            self.verifier._record_run(
-                report, run_index, decisions, result, trace, seen
-            )
-            rec = report.runs[-1]
-            telemetry.record_run(
-                run_index,
-                result,
-                trace,
-                flip=rec.flip,
-                error_kinds=rec.error_kinds,
-                started=None,
-            )
-        report.divergences = generator.divergences
-        report.bound_frozen = generator.distance_frozen
-        if cfg.prune or cfg.adaptive_clocks:
-            report.prune_stats = {
-                "enabled": cfg.prune,
-                "adaptive_clocks": cfg.adaptive_clocks,
-                "subtrees_pruned": generator.prunes,
-                "replays_saved": generator.replays_saved,
-                **esc_stats,
-            }
-            m = telemetry.metrics
-            m.counter("prune.subtrees").inc(generator.prunes)
-            m.counter("prune.replays_saved").inc(generator.replays_saved)
-            m.counter("prune.escalations").inc(esc_stats["escalations"])
-            m.counter("prune.escalation_replays").inc(
-                esc_stats["escalation_replays"]
-            )
-            m.counter("prune.extra_alternatives").inc(
-                esc_stats["extra_alternatives"]
-            )
-        report.parallel_stats = {
-            "mode": "dist",
-            "workers": self.workers,
-            "leases": len(self.table.leases),
-            "records": len(self.recs),
-            "worker_deaths": self.metrics.counter("dist.worker_deaths").value,
-        }
+            fold.fold_entry(run_index, entry)
+        journal_stats = None
         if self.journal is not None:
             self.journal.close()
-            report.journal_stats = {
+            journal_stats = {
                 "dir": str(self.journal.root),
                 "replayed": self._replayed,
                 "executed": self._executed,
             }
-            telemetry.metrics.gauge("journal.replayed_runs").set(self._replayed)
-            telemetry.metrics.gauge("journal.executed_runs").set(self._executed)
         # fleet/exec accounting rides in the nondeterministic namespaces
         telemetry.metrics.merge_snapshot(
             _filtered_snapshot(self.metrics.snapshot())
         )
-        report.wall_seconds = time.perf_counter() - started
-        telemetry.finalize(report)
+        report = fold.finish(
+            {
+                "mode": "dist",
+                "workers": self.workers,
+                "leases": len(self.table.leases),
+                "records": len(self.recs),
+                "worker_deaths": self.metrics.counter("dist.worker_deaths").value,
+            },
+            journal_stats,
+        )
         if self._worker_events:
             # worker lifecycle events (lease spans, memo hits) ride on
             # worker-local clocks; they join the report stream for export

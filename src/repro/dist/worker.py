@@ -9,14 +9,8 @@ the subtree exactly like the serial verify loop — ``run_once`` →
 ``integrate`` → ``next_decisions`` — streaming one ``record`` frame per
 completed run and finishing with ``lease_done``.
 
-Three deliberate deviations from the serial loop:
+Two deliberate deviations from the serial loop:
 
-* **No outcome dedup.**  Dedup prunes based on *globally* witnessed
-  outcomes, which a shard cannot know.  Workers explore the full subtree
-  (a superset of what any dedup walk would execute there) and the
-  coordinator's assembly applies the real config — a dedup walk's
-  schedules are always a subset of the full walk's, so every needed
-  record exists.
 * **Pinned prefix.**  Alternatives discovered at prefix nodes belong to
   other shards; they are reported upstream as ``discovered`` candidate
   leases (the coordinator dedups them against everything already
@@ -71,12 +65,11 @@ from typing import Optional
 
 from repro.dampi import prune as prune_mod
 from repro.dampi.explorer import ScheduleGenerator
-from repro.dampi.journal import CampaignJournal, trace_from_jsonable
+from repro.dampi.journal import CampaignJournal, run_entry, trace_from_jsonable
 from repro.dampi.verifier import DampiVerifier
 from repro.dist.protocol import (
     decisions_key_str,
     pack_events,
-    run_entry,
     send_frame,
     start_reader,
 )
@@ -90,17 +83,15 @@ def shard_config(config):
     Semantic knobs (clock, piggyback, bound, policy, ...) pass through
     untouched — they define what a run *is*.  Execution knobs are
     normalized: one inline job per worker (the worker process *is* the
-    parallelism), no outcome dedup (see module doc), no budgets (budgets
-    are global properties the coordinator's assembly enforces), no
-    per-worker progress lines or event tracing (the coordinator owns
-    observability).  The fault plan travels along so ``worker:*`` sites
+    parallelism), no budgets (budgets are global properties the
+    coordinator's assembly enforces), no per-worker progress lines or
+    event tracing (the coordinator owns observability).  The fault plan travels along so ``worker:*`` sites
     fire inside the right process.
     """
     return replace(
         config,
         jobs=1,
         force_jobs=False,
-        outcome_dedup=False,
         trace_events=False,
         progress_interval_seconds=None,
         max_interleavings=None,
@@ -323,10 +314,8 @@ class _ShardWorker:
         journal = None
         memo: dict = {}
         if self.shards_dir is not None:
-            journal = CampaignJournal(
-                self.shards_dir / f"lease-{lease_id_}",
-                segment_bytes=self.config.journal_segment_bytes,
-                fsync=self.config.journal_fsync,
+            journal = CampaignJournal.open(
+                self.shards_dir / f"lease-{lease_id_}", self.config
             )
             journal.ensure_meta(
                 self.verifier.nprocs,
@@ -354,22 +343,11 @@ class _ShardWorker:
                     trace = trace_from_jsonable(entry["trace"])
                 else:
                     result, trace = self.verifier.run_once(decisions)
-                    # escalate BEFORE the trace is journaled or streamed:
-                    # the memo, the coordinator, and the assembly all
-                    # inherit the augmented alternatives for free
-                    esc = self.verifier._escalate(
-                        decisions, trace, self._esc_stats
+                    osig, esc = self.verifier._entry_facts(
+                        decisions, result, trace, self._esc_stats
                     )
                     entry = run_entry(
-                        decisions,
-                        result,
-                        trace,
-                        osig=(
-                            prune_mod.outcome_digest(result, trace)
-                            if self.config.prune
-                            else None
-                        ),
-                        esc=esc,
+                        decisions, result, trace, osig=osig, esc=esc
                     )
                     if journal is not None:
                         journal.append({"t": "srun", "k": kstr, "entry": entry})

@@ -271,12 +271,19 @@ def journal_progress(path) -> dict:
             1 for e in journal.entries if e.get("t") == "srun"
         )
     else:  # serial campaign
-        runs = failures = checkpoints = errors = prunes = 0
+        from repro.dampi.journal import result_from_entry
+        from repro.dampi.verifier import error_findings
+
+        runs = failures = checkpoints = prunes = 0
+        errors: set = set()  # distinct (kind, dedup key), as the report counts
         for e in journal.entries:
             t = e.get("t")
             if t == "run":
                 runs += 1
-                errors += len(e.get("errors") or ())
+                errors.update(
+                    (kind, key)
+                    for kind, key, _ in error_findings(result_from_entry(e))
+                )
             elif t == "failure":
                 failures += 1
             elif t == "checkpoint":
@@ -285,7 +292,7 @@ def journal_progress(path) -> dict:
                 prunes += 1
         progress.update(
             runs=runs, failures=failures, checkpoints=checkpoints,
-            errors=errors, prunes=prunes,
+            errors=len(errors), prunes=prunes,
         )
     return progress
 

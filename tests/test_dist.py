@@ -452,16 +452,6 @@ class TestDistributedBitIdentity:
         assert serial.truncated and dist.truncated
         assert _canon(dist) == _canon(serial)
 
-    def test_outcome_dedup_applied_in_assembly(self):
-        cfg = DampiConfig(outcome_dedup=True)
-        serial = DampiVerifier(
-            wildcard_lattice, 4, cfg, kwargs=BIG
-        ).verify()
-        dist = distributed_verify(
-            wildcard_lattice, 4, cfg, workers=2, kwargs=BIG
-        )
-        assert _canon(dist) == _canon(serial)
-
     def test_matmult_identical(self):
         cfg = DampiConfig()
         serial = DampiVerifier(matmult_program, 3, cfg).verify()
@@ -549,11 +539,11 @@ class TestDistributedJournal:
 class TestShardConfig:
     def test_execution_knobs_normalized_semantics_kept(self):
         cfg = DampiConfig(
-            jobs=4, outcome_dedup=True, max_interleavings=9, bound_k=2,
+            jobs=4, max_interleavings=9, bound_k=2,
             trace_events=True, progress_interval_seconds=1.0,
         )
         sc = shard_config(cfg)
-        assert sc.jobs == 1 and not sc.outcome_dedup
+        assert sc.jobs == 1
         assert sc.max_interleavings is None and sc.max_seconds is None
         assert not sc.trace_events and sc.progress_interval_seconds is None
         assert sc.bound_k == 2  # semantic knobs untouched
