@@ -40,6 +40,12 @@ Each line is one JSON record with a ``t`` discriminator:
     through the same report bookkeeping as a live run, so error dedup is
     recomputed rather than stored.  ``osig`` and ``esc`` ride along
     under pruning / adaptive clocks.
+
+    Potential matches, most of a run entry's bytes, are flat rows
+    ``[epoch_rank, epoch_lc, source, env_uid, seq, tag, stamp]`` (version
+    3).  ``stamp`` is ``null``, ``[time, rank]`` for a Lamport stamp, or
+    the artifact-store stamp object (``{"kind": "vector", ...}``)
+    otherwise; an escalated match carries ``env_uid == -1``.
 ``failure``
     A replay lost to a worker crash/timeout: its schedule and the
     failure reason (resume replays the ``abandon()`` transition).
@@ -60,6 +66,12 @@ newline of each segment, so a torn tail costs exactly the record being
 written — which was by definition not yet acknowledged.  Segments rotate
 at ``DampiConfig.journal_segment_bytes``, and every resume attempt opens
 a fresh segment (old segments are never reopened for writing).
+
+Reading is a stream: :class:`CampaignJournal` holds only the meta
+record, the latest ``checkpoint`` and whether an ``end`` record exists,
+and :meth:`CampaignJournal.records` / :meth:`CampaignJournal.run_entries`
+parse one line at a time from disk, so resume and every other reader run
+in memory bounded by one record, whatever the journal's length.
 """
 
 from __future__ import annotations
@@ -69,22 +81,23 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
+from repro.clocks.lamport import LamportStamp
 from repro.dampi.artifacts import (
     epoch_from_jsonable,
     epoch_to_jsonable,
-    match_from_jsonable,
-    match_to_jsonable,
+    stamp_from_jsonable,
+    stamp_to_jsonable,
 )
 from repro.dampi.decisions import EpochDecisions
-from repro.dampi.epoch import EpochRecord, RunTrace
+from repro.dampi.epoch import EpochRecord, PotentialMatch, RunTrace
 from repro.dampi.explorer import DecisionNode, ScheduleGenerator
 from repro.dampi.leaks import CommLeak, LeakReport, RequestLeak
 from repro.dampi.monitor import MonitorReport, OmissionAlert
 from repro.errors import DeadlockError
 
-JOURNAL_VERSION = 2
+JOURNAL_VERSION = 3
 
 #: default segment rotation threshold (bytes)
 DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
@@ -131,18 +144,41 @@ def decisions_from_jsonable(payload: dict) -> EpochDecisions:
     )
 
 
+def match_to_row(m: PotentialMatch) -> list:
+    """One potential match as a flat row (see the module doc)."""
+    stamp = m.stamp
+    return [
+        m.epoch[0], m.epoch[1], m.source, m.env_uid, m.seq, m.tag,
+        [stamp.time, stamp.rank]
+        if type(stamp) is LamportStamp
+        else stamp_to_jsonable(stamp),
+    ]
+
+
+def match_from_row(row: list) -> PotentialMatch:
+    rank, lc, source, env_uid, seq, tag, stamp = row
+    if type(stamp) is list:
+        stamp = LamportStamp(*stamp)
+    elif stamp is not None:
+        stamp = stamp_from_jsonable(stamp)
+    return PotentialMatch((rank, lc), source, env_uid, seq, tag, stamp)
+
+
 def trace_to_jsonable(trace: RunTrace) -> dict:
     return {
         "nprocs": trace.nprocs,
         "epochs": [epoch_to_jsonable(e) for e in trace.all_epochs()],
-        "matches": [match_to_jsonable(m) for m in trace.potential_matches],
+        "matches": [match_to_row(m) for m in trace.potential_matches],
         "unconsumed": [list(k) for k in trace.unconsumed_decisions],
         "mismatches": [list(k) for k in trace.forced_mismatches],
         "scalar_risk": [list(k) for k in trace.scalar_risk],
     }
 
 
-def trace_from_jsonable(payload: dict) -> RunTrace:
+def trace_from_jsonable(payload: dict, matches: bool = True) -> RunTrace:
+    """Decode a journaled trace.  ``matches=False`` leaves the potential
+    matches out: the report, the telemetry and completed outcomes read
+    only epochs, so resume skips them for runs a checkpoint covers."""
     # every rank keyed, as in a live trace: the prune fingerprint hashes
     # the per-rank rows, empty ones included
     epochs: dict[int, list[EpochRecord]] = {
@@ -156,7 +192,9 @@ def trace_from_jsonable(payload: dict) -> RunTrace:
     return RunTrace(
         nprocs=payload["nprocs"],
         epochs=epochs,
-        potential_matches=[match_from_jsonable(m) for m in payload["matches"]],
+        potential_matches=(
+            [match_from_row(m) for m in payload["matches"]] if matches else []
+        ),
         unconsumed_decisions=[tuple(k) for k in payload["unconsumed"]],
         forced_mismatches=[tuple(k) for k in payload["mismatches"]],
         scalar_risk=[tuple(k) for k in payload.get("scalar_risk", ())],
@@ -474,10 +512,15 @@ class CampaignJournal:
     """Append-only, fsync'd, segment-rotated campaign journal.
 
     One instance serves one :meth:`~repro.dampi.verifier.DampiVerifier
-    .verify` call: construct it on a directory (existing segments are
-    loaded eagerly), hand it to ``verify(journal=...)``, and the verifier
-    does the rest — validates the meta record, replays prior entries, and
-    appends the live remainder.
+    .verify` call: construct it on a directory, hand it to
+    ``verify(journal=...)``, and the verifier does the rest — validates
+    the meta record, replays prior entries, and appends the live
+    remainder.
+
+    Opening scans the existing segments once, validating every line, and
+    keeps only the meta record, the latest checkpoint and the end flag;
+    the records themselves are streamed from disk again by
+    :meth:`records` / :meth:`run_entries`, one at a time.
     """
 
     def __init__(
@@ -492,7 +535,8 @@ class CampaignJournal:
         self.fsync = fsync
         self.program_label = program_label
         self.meta: Optional[dict] = None
-        self.entries: list[dict] = []
+        self._checkpoint: Optional[dict] = None
+        self._complete = False
         self._tracer = None
         self._metrics = None
         self._fh = None
@@ -528,47 +572,58 @@ class CampaignJournal:
         return sorted(self.root.glob("segment-[0-9]*.jsonl"))
 
     def _load(self) -> None:
-        segments = self._segments()
-        next_index = 0
-        for path in segments:
+        for path in self._segments():
             try:
-                next_index = max(next_index, int(path.stem.split("-")[1]) + 1)
+                index = int(path.stem.split("-")[1])
             except ValueError:
                 raise JournalError(f"unrecognized segment name {path.name}")
-            raw = path.read_bytes()
-            # drop a torn tail: a complete append always ends in "\n"
-            cut = raw.rfind(b"\n")
-            raw = b"" if cut < 0 else raw[: cut + 1]
-            for lineno, line in enumerate(raw.splitlines(), start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError as e:
-                    raise JournalError(
-                        f"{path.name}:{lineno}: corrupt journal record: {e}"
-                    ) from None
-                if record.get("t") == "meta":
-                    if self.meta is None:
-                        self.meta = record
-                    continue
-                self.entries.append(record)
-        self._segment_index = next_index
+            self._segment_index = max(self._segment_index, index + 1)
+        for record in self._read():
+            if record.get("t") != "meta":
+                self._note(record)
+            elif self.meta is None:
+                self.meta = record
 
-    def run_entries(self) -> list[dict]:
+    def _note(self, record: dict) -> None:
+        """Keep what the journal remembers of a record it read or wrote."""
+        t = record.get("t")
+        if t == "checkpoint":
+            self._checkpoint = record
+        elif t == "end":
+            self._complete = True
+
+    def _read(self) -> Iterator[dict]:
+        """Every complete record on disk, in order."""
+        for path in self._segments():
+            with open(path, "rb") as fh:
+                for lineno, line in enumerate(fh, start=1):
+                    # a torn tail: a complete append always ends in "\n"
+                    if not line.endswith(b"\n"):
+                        break
+                    if not line.strip():
+                        continue
+                    try:
+                        record = json.loads(line)
+                    except ValueError as e:
+                        raise JournalError(
+                            f"{path.name}:{lineno}: corrupt journal record: {e}"
+                        ) from None
+                    yield record
+
+    def records(self) -> Iterator[dict]:
+        """Every record but the meta, streamed from disk in order."""
+        return (r for r in self._read() if r.get("t") != "meta")
+
+    def run_entries(self) -> Iterator[dict]:
         """The replayable history: run and failure records, in order."""
-        return [e for e in self.entries if e.get("t") in ("run", "failure")]
+        return (e for e in self.records() if e.get("t") in ("run", "failure"))
 
     def latest_checkpoint(self) -> Optional[dict]:
-        ckpt = None
-        for e in self.entries:
-            if e.get("t") == "checkpoint":
-                ckpt = e
-        return ckpt
+        return self._checkpoint
 
     @property
     def complete(self) -> bool:
-        return any(e.get("t") == "end" for e in self.entries)
+        return self._complete
 
     # -- meta ------------------------------------------------------------------
 
@@ -677,8 +732,7 @@ class CampaignJournal:
         if self.fsync:
             os.fsync(self._fh.fileno())
         self._segment_written += len(data)
-        if record is not self.meta:
-            self.entries.append(record)
+        self._note(record)
         if self._metrics is not None:
             self._metrics.counter("journal.appends").inc()
             self._metrics.counter("journal.bytes").inc(len(data))
@@ -699,6 +753,6 @@ class CampaignJournal:
 
     def __repr__(self) -> str:
         return (
-            f"CampaignJournal({self.root}, {len(self.entries)} entries"
+            f"CampaignJournal({self.root}, {self._segment_index} segment(s)"
             f"{', complete' if self.complete else ''})"
         )

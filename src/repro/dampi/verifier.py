@@ -758,12 +758,15 @@ class CampaignFold:
 
     def fold_entry(self, index: int, entry: dict, walk: bool = True) -> None:
         """Decode and fold one run entry (:func:`repro.dampi.journal.run_entry`
-        format): a journaled run or a distributed worker's record."""
+        format): a journaled run or a distributed worker's record.  An
+        entry that leaves the walk alone skips its potential matches
+        unless the run tree or the kept traces need them."""
+        matches = walk or self.store is not None or self.config.keep_traces
         self.fold(
             index,
             jr.decisions_from_jsonable(entry["key"]) if entry.get("key") else None,
             jr.result_from_entry(entry),
-            jr.trace_from_jsonable(entry["trace"]),
+            jr.trace_from_jsonable(entry["trace"], matches=matches),
             entry.get("osig"),
             entry.get("esc"),
             walk=walk,
@@ -1047,11 +1050,10 @@ class DampiVerifier:
                 self.nprocs, cfg, kwargs=self.kwargs, prog_args=self.args
             )
 
-        history = journal.run_entries() if journal is not None else []
-        replayed = len(history)
-        if history:
-            run_index = self._replay_journal(journal, history, fold)
-        else:
+        replayed, run_index = (
+            self._replay_journal(journal, fold) if journal is not None else (0, 0)
+        )
+        if not replayed:
             if faults:
                 faults.fire(
                     "self", tracer=telemetry.tracer, metrics=telemetry.metrics
@@ -1063,7 +1065,7 @@ class DampiVerifier:
         if executor is None:
             executor = self._make_executor(telemetry)
 
-        executed = 0 if history else 1  # the live self run counts as executed
+        executed = 0 if replayed else 1  # the live self run counts as executed
         try:
             while True:
                 width = executor.wave_width
@@ -1197,26 +1199,21 @@ class DampiVerifier:
 
     # -- journal plumbing ---------------------------------------------------------
 
-    def _replay_journal(self, journal, history, fold) -> int:
+    def _replay_journal(self, journal, fold) -> tuple[int, int]:
         """Rebuild the session state from a journal without executing
-        anything: every entry is decoded and folded exactly like a live
-        run, so report state and DFS state are recovered by *transition
-        replay* (deterministic, so the rebuilt state is bit-identical) —
-        with a fast-forward from the latest checkpoint when one exists.
-        Returns the last journaled run index."""
+        anything: the entries stream from disk one at a time, and each is
+        decoded and folded exactly like a live run, so report state and
+        DFS state are recovered by *transition replay* (deterministic, so
+        the rebuilt state is bit-identical) — with a fast-forward from the
+        latest checkpoint when one exists.  Returns the number of entries
+        replayed and the last journaled run index."""
         ckpt = journal.latest_checkpoint()
-        fast_forward = 0
-        if ckpt is not None:
-            fast_forward = ckpt["applied"]
-            if fast_forward > len(history):
-                raise jr.JournalError(
-                    f"journal {journal.root}: checkpoint claims "
-                    f"{fast_forward} entries but only {len(history)} exist"
-                )
-        for i, entry in enumerate(history):
+        fast_forward = ckpt["applied"] if ckpt is not None else 0
+        replayed = index = 0
+        for entry in journal.run_entries():
             # entries before the checkpoint only feed the report: the
             # restored generator already holds their walk transitions
-            walk = i >= fast_forward
+            walk = replayed >= fast_forward
             if walk and entry["index"] > 0:
                 self._check_journal_schedule(
                     journal, entry, fold.next_decisions()
@@ -1225,13 +1222,20 @@ class DampiVerifier:
                 self._apply_failure_entry(fold, entry, walk)
             else:
                 self._apply_run_entry(fold, entry, walk)
-            if i + 1 == fast_forward:
+            replayed += 1
+            index = entry["index"]
+            if replayed == fast_forward:
                 fold.generator = jr.restore_generator(ckpt["generator"])
-        if fold.telemetry.tracer is not None:
-            fold.telemetry.tracer.instant(
-                "journal_resume", "journal", replayed=len(history)
+        if fast_forward > replayed:
+            raise jr.JournalError(
+                f"journal {journal.root}: checkpoint claims "
+                f"{fast_forward} entries but only {replayed} exist"
             )
-        return history[-1]["index"]
+        if replayed and fold.telemetry.tracer is not None:
+            fold.telemetry.tracer.instant(
+                "journal_resume", "journal", replayed=replayed
+            )
+        return replayed, index
 
     def _check_journal_schedule(self, journal, entry, decisions) -> None:
         """A journaled entry must match what the deterministic walk asks

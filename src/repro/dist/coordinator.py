@@ -204,7 +204,7 @@ class DistCoordinator:
         """Rebuild coordinator state from a prior attempt's journal."""
         if self.journal is None:
             return
-        for e in self.journal.entries:
+        for e in self.journal.records():
             t = e.get("t")
             if t == "dself":
                 self.self_entry = e["entry"]
@@ -646,7 +646,7 @@ def journal_status(path) -> dict:
     leases: dict[str, str] = {}
     recs = 0
     have_self = False
-    for e in journal.entries:
+    for e in journal.records():
         t = e.get("t")
         if t == "dself":
             have_self = True

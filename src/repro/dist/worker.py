@@ -325,7 +325,7 @@ class _ShardWorker:
                 mode="shard",
                 shard_prefix=spec,
             )
-            for e in journal.entries:
+            for e in journal.records():
                 if e.get("t") == "srun":
                     memo[e["k"]] = e["entry"]
         try:

@@ -250,7 +250,7 @@ def journal_progress(path) -> dict:
         leases: dict = {}
         records = 0
         have_self = False
-        for e in journal.entries:
+        for e in journal.records():
             t = e.get("t")
             if t == "dself":
                 have_self = True
@@ -268,7 +268,7 @@ def journal_progress(path) -> dict:
         )
     elif mode == "shard":
         progress["runs"] = sum(
-            1 for e in journal.entries if e.get("t") == "srun"
+            1 for e in journal.records() if e.get("t") == "srun"
         )
     else:  # serial campaign
         from repro.dampi.journal import result_from_entry
@@ -276,7 +276,7 @@ def journal_progress(path) -> dict:
 
         runs = failures = checkpoints = prunes = 0
         errors: set = set()  # distinct (kind, dedup key), as the report counts
-        for e in journal.entries:
+        for e in journal.records():
             t = e.get("t")
             if t == "run":
                 runs += 1

@@ -149,9 +149,18 @@ class TestThreeDrivers:
         assert tree(tmp_path / "dist") == serial
 
 
+def _stamp_version(journal_dir, version: int) -> None:
+    """Rewrite a journal's meta record to claim an older format."""
+    segment = min(journal_dir.glob("segment-*.jsonl"))
+    meta, rest = segment.read_text().split("\n", 1)
+    record = json.loads(meta)
+    assert record["t"] == "meta" and record["version"] == jr.JOURNAL_VERSION
+    record["version"] = version
+    segment.write_text(json.dumps(record) + "\n" + rest)
+
+
 class TestJournalVersion:
-    @pytest.fixture
-    def v1_journal(self, tmp_path):
+    def _journal(self, tmp_path, version: int):
         journal_dir = tmp_path / "j"
         journal = CampaignJournal(
             journal_dir, program_label="repro.workloads.patterns:wildcard_lattice"
@@ -160,12 +169,26 @@ class TestJournalVersion:
             wildcard_lattice, 3, DampiConfig(),
             kwargs={"receives": 2, "senders": 2},
         ).verify(journal=journal)
-        segment = min(journal_dir.glob("segment-*.jsonl"))
-        meta, rest = segment.read_text().split("\n", 1)
-        record = json.loads(meta)
-        assert record["t"] == "meta" and record["version"] == jr.JOURNAL_VERSION
-        record["version"] = 1
-        segment.write_text(json.dumps(record) + "\n" + rest)
+        _stamp_version(journal_dir, version)
+        return journal_dir
+
+    @pytest.fixture
+    def v1_journal(self, tmp_path):
+        return self._journal(tmp_path, 1)
+
+    @pytest.fixture
+    def v2_journal(self, tmp_path):
+        """Version 2 wrote potential matches as JSON objects."""
+        return self._journal(tmp_path, 2)
+
+    @pytest.fixture
+    def v2_dist_journal(self, tmp_path):
+        journal_dir = tmp_path / "dj"
+        distributed_verify(
+            wildcard_lattice, 3, DampiConfig(), workers=1,
+            kwargs={"receives": 2, "senders": 2}, journal=journal_dir,
+        )
+        _stamp_version(journal_dir, 2)
         return journal_dir
 
     def test_version_1_journal_is_rejected(self, v1_journal):
@@ -174,6 +197,24 @@ class TestJournalVersion:
                 wildcard_lattice, 3, DampiConfig(),
                 kwargs={"receives": 2, "senders": 2},
             ).verify(journal=v1_journal)
+
+    def test_version_2_journal_is_rejected(self, v2_journal):
+        with pytest.raises(JournalError, match="version 2"):
+            DampiVerifier(
+                wildcard_lattice, 3, DampiConfig(),
+                kwargs={"receives": 2, "senders": 2},
+            ).verify(journal=v2_journal)
+        with pytest.raises(SystemExit, match="version 2"):
+            main(["resume", str(v2_journal)])
+
+    def test_version_2_dist_journal_is_rejected(self, v2_dist_journal):
+        with pytest.raises(JournalError, match="version 2"):
+            distributed_verify(
+                wildcard_lattice, 3, DampiConfig(), workers=1,
+                kwargs={"receives": 2, "senders": 2}, journal=v2_dist_journal,
+            )
+        with pytest.raises(SystemExit, match="version 2"):
+            main(["dist", "resume", str(v2_dist_journal)])
 
     def test_cli_resume_names_the_version(self, v1_journal):
         with pytest.raises(SystemExit, match="version 1"):

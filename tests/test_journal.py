@@ -9,10 +9,13 @@ interleavings already journaled (the re-executed count is asserted).
 import json
 import multiprocessing
 import os
+import tracemalloc
 
 import pytest
 
 from repro.cli import main
+from repro.clocks.lamport import LamportStamp
+from repro.clocks.vector import VectorStamp
 from repro.dampi import (
     CampaignJournal,
     DampiConfig,
@@ -23,9 +26,11 @@ from repro.dampi import (
 )
 from repro.dampi import journal as jr
 from repro.dampi.decisions import EpochDecisions
+from repro.dampi.epoch import PotentialMatch
 from repro.dampi.explorer import ScheduleGenerator
 from repro.dampi.faults import FAULT_EXIT_CODE
 from repro.dampi.parallel import schedule_key
+from repro.dampi.prune import ESCALATED_ENV_UID
 from repro.workloads.patterns import wildcard_lattice
 from tests.test_explorer import trace_with
 from tests.test_parallel import _report_fingerprint
@@ -188,6 +193,41 @@ class TestCrashResume:
         with pytest.raises(JournalError):
             CampaignJournal(journal_dir)
 
+    def test_torn_line_in_a_middle_segment_is_dropped(self, tmp_path):
+        """A killed attempt leaves its torn tail behind; the resume opens
+        the next segment, so the torn line ends up mid-journal — and every
+        later reader must still skip it."""
+        journal_dir = tmp_path / "j"
+        _crash_campaign(journal_dir, "kill@run:2")
+        with open(journal_dir / "segment-00000.jsonl", "ab") as f:
+            f.write(b'{"t":"run","index":99,"trace"')  # torn mid-record
+        oracle = DampiVerifier(
+            wildcard_lattice, 3, DampiConfig(), kwargs=LATTICE
+        ).verify()
+        DampiVerifier(
+            wildcard_lattice, 3, DampiConfig(), kwargs=LATTICE
+        ).verify(journal=journal_dir)
+        assert len(list(journal_dir.glob("segment-*.jsonl"))) == 2
+        journal = CampaignJournal(journal_dir)
+        assert journal.complete
+        indices = [e["index"] for e in journal.run_entries()]
+        assert indices == list(range(oracle.interleavings))
+        resumed = DampiVerifier(
+            wildcard_lattice, 3, DampiConfig(), kwargs=LATTICE
+        ).verify(journal=journal_dir)
+        assert resumed.journal_stats["replayed"] == oracle.interleavings
+        assert _canon(resumed) == _canon(oracle)
+
+    def test_corrupt_record_is_reported_by_file_and_line(self, tmp_path):
+        journal_dir = tmp_path / "j"
+        _crash_campaign(journal_dir, "kill@run:2")
+        segment = journal_dir / "segment-00000.jsonl"
+        lines = segment.read_bytes().splitlines(keepends=True)
+        lines.insert(2, b"this is not json\n")
+        segment.write_bytes(b"".join(lines))
+        with pytest.raises(JournalError, match=r"segment-00000\.jsonl:3: corrupt"):
+            CampaignJournal(journal_dir)
+
     def test_changed_config_is_rejected(self, tmp_path):
         journal_dir = tmp_path / "j"
         _crash_campaign(journal_dir, "kill@run:2")
@@ -226,6 +266,61 @@ class TestCrashResume:
         ).verify(journal=tmp_path / "j")
         assert report.journal_stats is not None
         assert "journal_stats" not in json.loads(report.to_json())
+
+
+class TestStreaming:
+    """The journal is read as a stream: resume holds one record at a
+    time, and a journal object never accumulates per-run records."""
+
+    def test_resume_peak_memory_is_bounded_by_one_record(self, tmp_path):
+        """Resuming the 729-run lattice journal (2.6 MB on disk) must not
+        hold the history: beyond what the resumed session keeps (the
+        report), its transient peak is a fixed bound, not one that grows
+        with the number of entries (the whole journal parsed into a list
+        peaked near 49 MB here)."""
+        kwargs = {"receives": 6, "senders": 3}
+        journal_dir = tmp_path / "j"
+        cfg = DampiConfig(journal_fsync=False)
+        first = DampiVerifier(wildcard_lattice, 4, cfg, kwargs=kwargs).verify(
+            journal=journal_dir
+        )
+        assert first.interleavings == 3 ** 6
+        verifier = DampiVerifier(wildcard_lattice, 4, cfg, kwargs=kwargs)
+        tracemalloc.start()
+        try:
+            resumed = verifier.verify(journal=journal_dir)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert resumed.journal_stats["replayed"] == 3 ** 6
+        assert resumed.journal_stats["executed"] == 0
+        assert peak - retained < 2 * 1024 * 1024
+
+    def test_journaled_verify_keeps_no_run_records(self, tmp_path):
+        journal = CampaignJournal(tmp_path / "j")
+        report = DampiVerifier(
+            wildcard_lattice, 4, DampiConfig(journal_checkpoint_interval=4),
+            kwargs=BIG,
+        ).verify(journal=journal)
+        assert report.interleavings == 27
+
+        def held(value):
+            if isinstance(value, dict):
+                yield value
+                for v in value.values():
+                    yield from held(v)
+            elif isinstance(value, (list, tuple)):
+                for v in value:
+                    yield from held(v)
+
+        kinds = {
+            r.get("t") for v in vars(journal).values() for r in held(v)
+        }
+        assert not kinds & {"run", "failure", "prune"}
+        assert journal.complete
+        assert journal.latest_checkpoint()["applied"] == 24
+        # the records are still all on disk, for the stream to read
+        assert sum(1 for _ in journal.run_entries()) == 27
 
 
 class TestFailureEntryResume:
@@ -318,6 +413,47 @@ class TestSerialization:
     def test_outcome_roundtrip(self):
         outcome = frozenset({((0, 1), 2), ((1, 0), 0)})
         assert jr.outcome_from_jsonable(jr.outcome_to_jsonable(outcome)) == outcome
+
+    def test_match_rows_roundtrip_every_stamp_kind(self):
+        """Potential matches travel as flat rows: Lamport stamps as
+        ``[time, rank]``, vector stamps and escalated matches (no stamp,
+        ``env_uid == -1``) must come back exactly."""
+        matches = [
+            PotentialMatch((0, 3), 2, 17, 4, 5, LamportStamp(9, 2)),
+            PotentialMatch((1, 0), 0, 8, 0, 1, VectorStamp((1, 0, 4))),
+            PotentialMatch((2, 7), 1, ESCALATED_ENV_UID, 3, 0, None),
+        ]
+        trace = trace_with([(0, 3, 1), (1, 0, 2), (2, 7, 0)], [], nprocs=3)
+        trace.potential_matches = matches
+        payload = json.loads(json.dumps(jr.trace_to_jsonable(trace)))
+        assert payload["matches"][0] == [0, 3, 2, 17, 4, 5, [9, 2]]
+        assert payload["matches"][2] == [2, 7, 1, -1, 3, 0, None]
+        decoded = jr.trace_from_jsonable(payload).potential_matches
+        fields = ("epoch", "source", "env_uid", "seq", "tag")
+        for got, want in zip(decoded, matches, strict=True):
+            assert [getattr(got, f) for f in fields] == [
+                getattr(want, f) for f in fields
+            ]
+        assert decoded[0].stamp.time == 9 and decoded[0].stamp.rank == 2
+        assert decoded[1].stamp == VectorStamp((1, 0, 4))
+        assert decoded[2].stamp is None
+        assert jr.trace_from_jsonable(payload, matches=False).potential_matches == []
+
+    def test_vector_clock_trace_roundtrips(self):
+        _, trace = DampiVerifier(
+            wildcard_lattice, 4, DampiConfig(clock_impl="vector"), kwargs=BIG
+        ).run_once()
+        assert trace.potential_matches
+        decoded = jr.trace_from_jsonable(
+            json.loads(json.dumps(jr.trace_to_jsonable(trace)))
+        )
+        assert [
+            (m.epoch, m.source, m.env_uid, m.seq, m.tag, m.stamp.components)
+            for m in decoded.potential_matches
+        ] == [
+            (m.epoch, m.source, m.env_uid, m.seq, m.tag, m.stamp.components)
+            for m in trace.potential_matches
+        ]
 
     def test_generator_snapshot_roundtrip(self):
         gen = ScheduleGenerator(bound_k=1)

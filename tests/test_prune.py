@@ -114,7 +114,7 @@ class TestPruningJournal:
             COMMUTATIVE.program, COMMUTATIVE.nprocs, prune=True, journal=jdir
         )
         journal = CampaignJournal(jdir)
-        audits = [e for e in journal.entries if e.get("t") == "prune"]
+        audits = [e for e in journal.records() if e.get("t") == "prune"]
         assert len(audits) == report.prune_stats["subtrees_pruned"]
         assert (
             sum(a["saved"] for a in audits)
