@@ -21,13 +21,10 @@ Legs
     The pre-overhaul baseline (:data:`BASELINE_REF` — the PR 1 tip, which
     spawned ``nprocs`` OS threads and rebuilt every module per replay and
     matched by linear scan), checked out into a temporary git worktree and
-    driven by the *same* driver script in a subprocess.  Where git or the
-    baseline commit is unavailable (e.g. a shallow clone), the leg falls
-    back to a config ablation of the current tree
-    (``persistent_session=False, indexed_matching=False``) and records
-    ``baseline_mode="ablation"`` — that ablation cannot see pure hot-path
-    micro-optimisations shared by both configurations, so its ratio is a
-    lower bound.
+    driven by the *same* driver script in a subprocess.  The bench needs
+    git and the baseline commit in the clone's history; without them (a
+    shallow clone) it stops with a pointed error rather than timing the
+    current tree against itself.
 
 Methodology: legs are interleaved (before/after/no-checkpoint cycling) so
 drifting host load hits every distribution, and each leg's p50 is the best
@@ -86,9 +83,8 @@ PROGRAMS = [
 
 #: Driver run in a subprocess against either tree.  Wraps ``run_once`` so
 #: every execution the verification performs — self run and guided replays
-#: — contributes one wall sample.  ``REPLAY_LATENCY_ABLATE=1`` selects the
-#: ablation baseline, ``REPLAY_LATENCY_NO_CKPT=1`` disables prefix
-#: checkpoints, on trees whose config supports those knobs.
+#: — contributes one wall sample.  ``REPLAY_LATENCY_NO_CKPT=1`` disables
+#: prefix checkpoints on trees whose config supports that knob.
 _DRIVER = r"""
 import dataclasses, json, os, statistics, sys, time, importlib
 mod, fn = sys.argv[1].rsplit(":", 1)
@@ -99,10 +95,6 @@ from repro.mpi.runtime import Runtime
 program = getattr(importlib.import_module(mod), fn)
 fields = {f.name for f in dataclasses.fields(DampiConfig)}
 cfg_kwargs = {"bound_k": 0}
-if os.environ.get("REPLAY_LATENCY_ABLATE") == "1":
-    for name in ("persistent_session", "indexed_matching"):
-        if name in fields:
-            cfg_kwargs[name] = False
 if os.environ.get("REPLAY_LATENCY_NO_CKPT") == "1" and "prefix_checkpoints" in fields:
     cfg_kwargs["prefix_checkpoints"] = False
 # rank-main span timing: phase fallback for trees without result.phases
@@ -162,11 +154,8 @@ print("REPLAY_LATENCY_JSON:" + json.dumps(out))
 
 
 def _run_driver(src_root: Path, label: str, program: str, nprocs: int,
-                kwargs: dict, ablate: bool = False,
-                no_checkpoints: bool = False) -> dict:
+                kwargs: dict, no_checkpoints: bool = False) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src_root))
-    if ablate:
-        env["REPLAY_LATENCY_ABLATE"] = "1"
     if no_checkpoints:
         env["REPLAY_LATENCY_NO_CKPT"] = "1"
     proc = subprocess.run(
@@ -184,11 +173,9 @@ def _run_driver(src_root: Path, label: str, program: str, nprocs: int,
 
 
 class _Baseline:
-    """Checkout of :data:`BASELINE_REF` in a temporary git worktree, with
-    the config-ablation fallback when git can't produce one."""
+    """Checkout of :data:`BASELINE_REF` in a temporary git worktree."""
 
     def __init__(self):
-        self.mode = "worktree"
         self.path: Path | None = None
 
     def __enter__(self) -> "_Baseline":
@@ -200,15 +187,20 @@ class _Baseline:
                  "--detach", str(wt), BASELINE_REF],
                 check=True, capture_output=True, text=True, timeout=120,
             )
-            self.path = wt
-        except (subprocess.SubprocessError, FileNotFoundError):
-            self.mode = "ablation"
+        except (subprocess.SubprocessError, FileNotFoundError) as e:
+            detail = getattr(e, "stderr", None) or str(e)
+            raise SystemExit(
+                f"bench_replay_latency: cannot check out baseline commit "
+                f"{BASELINE_REF} into a git worktree ({detail.strip()}). "
+                f"The before leg needs that commit in this clone's history: "
+                f"run from a full clone (a shallow one lacks it; "
+                f"'git fetch --unshallow' fixes that)."
+            ) from e
+        self.path = wt
         return self
 
     def src_root(self) -> Path:
-        if self.path is not None:
-            return self.path / "src"
-        return REPO_ROOT / "src"
+        return self.path / "src"
 
     def __exit__(self, *exc) -> None:
         if self.path is not None:
@@ -222,13 +214,11 @@ class _Baseline:
 def run_latency() -> dict:
     data: dict = {"baseline_ref": BASELINE_REF, "reps": REPS, "programs": {}}
     with _Baseline() as base:
-        data["baseline_mode"] = base.mode
         for label, program, nprocs, kwargs in PROGRAMS:
             before, after, no_ckpt = [], [], []
             for _ in range(REPS):  # interleave legs against host-load drift
                 before.append(_run_driver(
-                    base.src_root(), f"{label}/before", program, nprocs,
-                    kwargs, ablate=base.mode == "ablation",
+                    base.src_root(), f"{label}/before", program, nprocs, kwargs,
                 ))
                 after.append(_run_driver(
                     REPO_ROOT / "src", f"{label}/after", program, nprocs, kwargs,
@@ -258,8 +248,8 @@ def run_latency() -> dict:
 def _report(data: dict) -> list[str]:
     lines = [
         "Per-replay latency: persistent session + indexed matching + "
-        f"prefix checkpoints vs baseline ({data['baseline_mode']}, "
-        f"reps={data['reps']})",
+        f"prefix checkpoints vs baseline {data['baseline_ref'][:12]} "
+        f"(reps={data['reps']})",
         "",
         f"{'program':>18} | {'runs':>5} | {'before p50':>11} | "
         f"{'after p50':>10} | {'no-ckpt p50':>11} | {'speedup':>8} | "
@@ -327,7 +317,7 @@ def _check(data: dict) -> None:
     assert mm["p50_speedup"] > 1.0, (
         f"per-replay p50 regressed: {mm['p50_speedup']:.2f}x"
     )
-    if data["baseline_mode"] == "worktree" and not SMOKE:
+    if not SMOKE:
         assert mm["p50_speedup"] >= 2.0, (
             f"expected >=2x per-replay p50 on matmult, got "
             f"{mm['p50_speedup']:.2f}x"

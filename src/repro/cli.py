@@ -72,16 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="wildcard match policy for SELF_RUN (arrival|lowest_rank|"
             "highest_rank|random:<seed>)",
         )
-        p.add_argument(
-            "--jobs",
-            "-j",
-            type=int,
-            default=1,
-            metavar="N",
-            help="replay worker processes (0 = all cores; default 1 = serial; "
-            "the report is identical either way; auto-demoted to serial on "
-            "single-CPU hosts, where a pool can only add overhead)",
-        )
 
     v = sub.add_parser("verify", help="explore the wildcard match space")
     common(v)
@@ -439,11 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _jobs_arg(args):
-    """``--jobs 0`` means "all cores" (DampiConfig spells that None)."""
-    return None if args.jobs == 0 else args.jobs
-
-
 def _check_adaptive_clock(args) -> None:
     """Fail fast with a CLI-shaped message instead of DampiConfig's
     ValueError when --adaptive-clocks meets a non-scalar clock."""
@@ -485,7 +470,6 @@ def cmd_verify(args) -> int:
         max_interleavings=args.max_interleavings,
         max_seconds=args.max_seconds,
         policy=args.policy,
-        jobs=_jobs_arg(args),
         enable_monitor=not args.no_monitor,
         enable_leak_check=not args.no_leak_check,
         artifacts_dir=args.artifacts_dir,
@@ -664,7 +648,6 @@ def cmd_escalate(args) -> int:
         base_config=DampiConfig(
             clock_impl=args.clock,
             policy=args.policy,
-            jobs=_jobs_arg(args),
             fault_plan=args.fault_plan,
         ),
         run_budget=args.run_budget,
@@ -674,6 +657,19 @@ def cmd_escalate(args) -> int:
     )
     print(result.summary())
     return 1 if result.errors else 0
+
+
+#: ``DampiConfig`` fields that no longer exist — the process-pool
+#: executor's knobs and two ablation switches — which journals written
+#: before their removal still record; resume drops exactly these (none
+#: is semantic, so the journal signature is unaffected)
+_RETIRED_CONFIG_KEYS = (
+    "jobs",
+    "job_timeout_seconds",
+    "force_jobs",
+    "persistent_session",
+    "indexed_matching",
+)
 
 
 def _resume_inputs(args, dist: bool):
@@ -732,7 +728,7 @@ def _resume_inputs(args, dist: bool):
                 else "DampiVerifier.verify(journal=...)"
             )
         )
-    d = dict(payload)
+    d = {k: v for k, v in payload.items() if k not in _RETIRED_CONFIG_KEYS}
     cm = d.pop("cost_model", None)
     d["fault_plan"] = args.fault_plan
     try:

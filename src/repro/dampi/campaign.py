@@ -99,7 +99,6 @@ def escalating_verify(
     run_budget: int = 2000,
     stop_on_error: bool = True,
     kwargs: Optional[dict] = None,
-    jobs: Optional[int] = None,
     journal_dir=None,
 ) -> EscalationResult:
     """Widen bounded mixing stage by stage (paper §III-B2's workflow).
@@ -121,9 +120,8 @@ def escalating_verify(
 
     Escalation also stops when an error is found (if ``stop_on_error``),
     when the unbounded stage covers its space without truncation, or when
-    the budget is gone.  ``jobs`` (when not None) overrides the replay
-    parallelism of every stage's config (see :class:`DampiConfig.jobs`);
-    stages themselves are inherently sequential — each widens the last.
+    the budget is gone.  Stages are inherently sequential — each widens
+    the last.
 
     ``journal_dir`` makes the escalation crash-safe: each stage verifies
     under its own journal (``<dir>/stage-k0``, ``stage-k1``, ...,
@@ -138,8 +136,6 @@ def escalating_verify(
     boundaries and one-shot faults stay one-shot across the escalation.
     """
     base = base_config or DampiConfig()
-    if jobs is not None:
-        base = replace(base, jobs=jobs)
     faults = FaultPlan.parse(base.fault_plan)
     result = EscalationResult()
     remaining = run_budget
@@ -284,9 +280,8 @@ def run_campaign(
 
     Cells are fully independent verifications, so with ``jobs > 1``
     (``None`` = ``os.cpu_count()``) they are dispatched onto one shared
-    worker pool; each pooled cell runs its own replays in-process
-    (``jobs=1``) to avoid nested pools.  Cell order — and therefore the
-    result — is identical to the serial sweep.  Unpicklable programs fall
+    worker pool; each cell runs its own replays in-process.  Cell order
+    — and therefore the result — is identical to the serial sweep.  Unpicklable programs fall
     back to the serial sweep automatically.
 
     A cell whose verification *itself* fails — its worker is killed, its
@@ -363,7 +358,7 @@ def _run_pooled_cells(
                     _run_campaign_cell,
                     program,
                     nprocs,
-                    replace(cfg, jobs=1),
+                    cfg,
                     kwargs,
                     name=name,
                     journal_dir=journal_dir,

@@ -12,6 +12,12 @@ from repro.mpi.costmodel import CostModel
 class DampiConfig:
     """Everything tunable about a DAMPI verification session.
 
+    Guided replays always run in-process, one after another, on one
+    persistent replay session (a policy *instance* runs every replay
+    cold instead: its internal state could carry across runs).  The
+    parallel path is ``repro dist run --workers N`` (:mod:`repro.dist`),
+    whose reports are bit-identical to the serial walk's.
+
     Attributes
     ----------
     clock_impl:
@@ -34,38 +40,6 @@ class DampiConfig:
         deep.
     max_interleavings / max_seconds:
         Hard budget guards; the report flags truncation.
-    jobs:
-        Replay parallelism.  ``1`` (the default) replays in-process,
-        serially.  ``N > 1`` runs guided replays on a pool of ``N``
-        worker processes via :mod:`repro.dampi.parallel`; ``None`` uses
-        ``os.cpu_count()``.  The report is bit-identical to ``jobs=1``
-        (the pool only *pre-computes* the schedules the serial walk
-        requests).  Falls back to in-process execution automatically when
-        the program is unpicklable.
-    job_timeout_seconds:
-        Per-replay wall-clock timeout in pool mode; a worker exceeding it
-        (or dying) is reported as a ``crash`` defect with its witness
-        schedule instead of hanging the session.  ``None`` disables.
-    force_jobs:
-        By default ``jobs > 1`` is auto-demoted to in-process execution
-        on single-CPU hosts, where process-pool dispatch can only add
-        overhead (``pool_stats`` records the demotion and its reason).
-        ``True`` skips the heuristic and uses the pool regardless —
-        tests of the pool machinery and oversubscription experiments.
-    persistent_session:
-        Reuse one runtime + rank-executor-thread pool + module stack
-        across the guided replays of a verification (engine state is
-        rebuilt per run; see ``Runtime.recycle``).  Cuts per-replay
-        thread spawn/join and interposition-chain compilation — the
-        dominant per-replay cost on small workloads — while keeping
-        reports bit-identical to cold-start execution.  Automatically
-        bypassed when ``policy`` is a policy *instance* (its internal
-        state could carry across runs).  ``False`` restores a fresh
-        Runtime per run.
-    indexed_matching:
-        Use dict-indexed unexpected/posted message queues (O(1) deposit
-        and match) instead of the reference linear scans.  Match order
-        is bit-identical either way; ``False`` is the ablation path.
     policy / mode / cost_model:
         Substrate knobs (wildcard match policy for SELF_RUN portions,
         scheduling mode, virtual-time constants).
@@ -89,14 +63,14 @@ class DampiConfig:
         Payload sampling for per-run event streams: full payloads are
         recorded for the self run and for 1-in-N guided replays, chosen
         deterministically from the schedule signature (so the sampled
-        stream is identical across ``jobs`` settings and is an exact
-        subset of the rate-1 stream).  Every event still increments the
+        stream is identical in serial, resumed and distributed campaigns
+        and is an exact subset of the rate-1 stream).  Every event still increments the
         exact ``events.*`` counters regardless of the rate, so telemetry
         totals are invariant under sampling.  1 (default) records every
         run.
     progress_interval_seconds:
         When set, ``verify()`` writes a live progress heartbeat (runs
-        done/queued, frontier depth, dedup-cache hit rate, ETA) to stderr
+        done/queued, frontier depth, checkpoint hits, ETA) to stderr
         at most this often.  ``None`` (default) disables.
     artifacts_dir:
         When set, every run's epochs, potential matches, and forced
@@ -108,7 +82,7 @@ class DampiConfig:
         comma-separated ``action@site[:selector][:param]`` terms that
         kill/hang/delay replay workers, the verify loop, escalation
         stages, or campaign cells at chosen points.  Travels inside the
-        config, so pooled replay workers and campaign cells inherit it
+        config, so dist workers and campaign cells inherit it
         automatically.  ``None`` (the default) injects nothing.
     journal_checkpoint_interval:
         When verifying with a journal, write a full generator-state
@@ -133,17 +107,12 @@ class DampiConfig:
     auto_loop_threshold: Optional[int] = None
     max_interleavings: Optional[int] = None
     max_seconds: Optional[float] = None
-    jobs: Optional[int] = 1
-    job_timeout_seconds: Optional[float] = None
-    force_jobs: bool = False
-    persistent_session: bool = True
-    indexed_matching: bool = True
     #: Prefix-sharing replay (see :mod:`repro.dampi.checkpoint`): snapshot
     #: the engine at each explored decision point and start the sibling
     #: schedules of that point from the snapshot instead of re-executing
     #: the shared prefix from MPI_Init.  Reports stay bit-identical; the
-    #: session demotes itself (logged, like the single-CPU ``jobs``
-    #: demotion) when the run uses non-snapshotable resources.
+    #: session demotes itself (logged) when the run uses
+    #: non-snapshotable resources.
     prefix_checkpoints: bool = True
     #: Byte budget (MiB) for the per-session prefix-checkpoint LRU cache.
     checkpoint_cache_mb: int = 64
@@ -208,10 +177,6 @@ class DampiConfig:
             raise ValueError("bound_k must be None or >= 0")
         if self.auto_loop_threshold is not None and self.auto_loop_threshold < 1:
             raise ValueError("auto_loop_threshold must be None or >= 1")
-        if self.jobs is not None and self.jobs < 1:
-            raise ValueError("jobs must be None (= cpu_count) or >= 1")
-        if self.job_timeout_seconds is not None and self.job_timeout_seconds <= 0:
-            raise ValueError("job_timeout_seconds must be None or > 0")
         if self.checkpoint_cache_mb < 1:
             raise ValueError("checkpoint_cache_mb must be >= 1")
         if self.checkpoint_interval < 1:

@@ -394,50 +394,6 @@ class ScheduleGenerator:
             )
         return None
 
-    def next_decision_batch(self, width: int) -> list[EpochDecisions]:
-        """Up to ``width`` *pending* schedules the serial walk is going to
-        request, without mutating the DFS state — the frontier wave a
-        parallel executor can precompute.
-
-        The first element is exactly what the next :meth:`next_decisions`
-        call will return.  The remaining elements are the untried sibling
-        alternatives of the deepest open node: they share its prefix, so
-        they are mutually independent, and because nodes shallower than a
-        flip keep their chosen source until the flip's whole subtree is
-        exhausted, each sibling schedule is *bit-identical* to the one the
-        serial walk will eventually emit for that alternative.  Under
-        ``bound_k=0`` every replay's fresh nodes are frozen, so the flips
-        of *every* open node are one embarrassingly-parallel wave and the
-        batch roams the whole path.
-
-        Returns ``[]`` exactly when :meth:`next_decisions` would return
-        ``None``.
-        """
-        out: list[EpochDecisions] = []
-        for i in range(len(self.path) - 1, -1, -1):
-            node = self.path[i]
-            if node.frozen or node.pinned or not node.untried:
-                continue
-            base = {n.key: n.chosen for n in self.path[:i] if n.chosen >= 0}
-            alts = sorted(node.untried)
-            for j, alt in enumerate(alts):
-                forced = dict(base)
-                forced[node.key] = alt
-                out.append(
-                    EpochDecisions(
-                        forced=forced,
-                        flip=node.key,
-                        expect_siblings=j < len(alts) - 1,
-                    )
-                )
-                if len(out) >= width:
-                    return out
-            if self.bound_k != 0:
-                # with mixing allowed, only the deepest node's siblings are
-                # provably schedules the serial walk will ask for verbatim
-                break
-        return out
-
     def abandon(self) -> None:
         """Drop the pending flip without a trace (the replay was lost to a
         worker crash/timeout): the alternative stays tried so it is never

@@ -5,7 +5,7 @@ workers that die mid-replay, cells that OOM, jobs that hit wall-clock
 limits and are killed at arbitrary points.  This module turns those
 failure modes into a reproducible harness: a :class:`FaultPlan` is a
 compact string carried on :attr:`DampiConfig.fault_plan` (and therefore
-pickled into replay workers and campaign cells automatically) that fires
+shipped to dist workers and campaign cells automatically) that fires
 a chosen *action* at a chosen *site*.
 
 Plan syntax — comma-separated ``action@site[:selector][:param]`` terms::
@@ -28,12 +28,12 @@ Actions
 -------
 ``kill``
     ``os._exit(FAULT_EXIT_CODE)`` — a hard, unflushed death, exactly what
-    a SIGKILLed worker or a dying node looks like.  Injected in a pool
+    a SIGKILLed worker or a dying node looks like.  Injected in a dist
     worker it kills that worker; injected in the main loop it kills the
     campaign (the crash the journal exists to survive).
 ``hang``
     Sleep ``param`` seconds (default :data:`DEFAULT_HANG_SECONDS`) — a
-    wedged worker, the food for ``job_timeout_seconds``.
+    wedged worker, the food for ``dist_lease_timeout_seconds``.
 ``delay``
     Sleep ``param`` seconds and continue — jitter for race hunting.
 ``raise``
@@ -49,8 +49,8 @@ Sites
     reaches the journal, so a ``kill`` here loses exactly that run.
 ``flip:<rank>.<lc>[.<src>]``
     Inside replay execution (:meth:`DampiVerifier.run_once`), wherever it
-    happens — a pool worker in pool mode (a mid-wave fault), the main
-    process inline.  Matches the schedule's flip epoch, optionally only
+    happens — a dist worker, or the main process of a serial campaign.
+    Matches the schedule's flip epoch, optionally only
     when ``src`` is the source forced at it.
 ``stage:<label>``
     In :func:`~repro.dampi.campaign.escalating_verify`, before the stage

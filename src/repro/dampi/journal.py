@@ -104,8 +104,8 @@ DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
 
 #: config fields that change what the walk *means* — a journal recorded
 #: under one set cannot be resumed under another.  Execution knobs
-#: (``jobs``, ``persistent_session``, ``indexed_matching``, telemetry,
-#: ``fault_plan``) are bit-identity-preserving and deliberately excluded.
+#: (checkpoints, telemetry, ``fault_plan``, journal tuning) are
+#: bit-identity-preserving and deliberately excluded.
 SEMANTIC_CONFIG_FIELDS = (
     "clock_impl",
     "piggyback",

@@ -14,7 +14,7 @@ import logging
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from repro.dampi.checkpoint import (
     PrefixCheckpointCache,
@@ -23,14 +23,14 @@ from repro.dampi.checkpoint import (
 )
 from repro.dampi.clock_module import DampiClockModule
 from repro.dampi.config import DampiConfig
-from repro.dampi.decisions import EpochDecisions
+from repro.dampi.decisions import EpochDecisions, schedule_key
 from repro.dampi.epoch import EpochKey, RunTrace
 from repro.dampi.explorer import ScheduleGenerator
 from repro.dampi.faults import FaultPlan
 from repro.dampi import journal as jr
 from repro.dampi.leaks import LeakCheckModule, LeakReport
 from repro.dampi.monitor import MonitorReport, OmissionMonitorModule
-from repro.dampi.parallel import ReplayExecutor, ReplaySpec
+from repro.dampi.parallel import ReplayExecutor
 from repro.dampi.piggyback import PiggybackModule
 from repro.dampi import prune as prune_mod
 from repro.errors import DeadlockError
@@ -96,7 +96,6 @@ class _ReplaySession:
             cost_model=cfg.cost_model,
             args=verifier.args,
             kwargs=verifier.kwargs,
-            indexed=cfg.indexed_matching,
             tracer=verifier._run_tracer,
         )
         self.pool = RankExecutorPool(
@@ -130,8 +129,8 @@ class _ReplaySession:
                     getattr(make_policy(cfg.policy), "stateless", False)
                 )
             else:
-                # mirror the executor's single-CPU jobs demotion: log and
-                # fall back to full replays instead of erroring mid-campaign
+                # log and fall back to full replays instead of erroring
+                # mid-campaign
                 self.checkpoint_demote_reason = reason
                 _log.info("prefix checkpoints demoted: %s", reason)
 
@@ -840,7 +839,7 @@ class DampiVerifier:
         #: deterministic fault injection (no-op unless config.fault_plan);
         #: fired at self/run sites by verify() and at flip sites by
         #: run_once() — so flip faults strike wherever the replay actually
-        #: executes, a pool worker included
+        #: executes, a dist worker included
         self._faults = FaultPlan.parse(self.config.fault_plan)
         #: per-run event tracer handed to every Runtime this verifier
         #: builds; None (the fast path) unless config.trace_events
@@ -884,15 +883,14 @@ class DampiVerifier:
 
         The self run is always captured; guided replays hash their
         canonical schedule key, so the decision is identical in-process,
-        in pool workers, and across resumes — the rate-N stream is a
+        on dist workers, and across resumes — the rate-N stream is a
         deterministic subset of the rate-1 stream.  Exact ``events.*``
         counters are kept either way (see :class:`repro.obs.trace.Tracer`).
         """
         n = self.config.trace_sample_every
         if n <= 1 or decisions is None or decisions.flip is None:
             return True
-        key = (decisions.flip, tuple(sorted(decisions.forced.items())))
-        return zlib.crc32(repr(key).encode()) % n == 0
+        return zlib.crc32(repr(schedule_key(decisions)).encode()) % n == 0
 
     def run_once(
         self, decisions: Optional[EpochDecisions] = None
@@ -902,8 +900,10 @@ class DampiVerifier:
         The first execution always cold-starts (fresh runtime and
         threads): single-run users pay nothing for the session machinery
         and leak no pool threads.  From the second execution on — i.e.
-        for guided replays — a persistent session takes over when the
-        config allows it (see ``DampiConfig.persistent_session``).
+        for guided replays — a persistent :class:`_ReplaySession` takes
+        over, unless ``policy`` is a policy instance: its internal state
+        (a seeded RNG) could carry across runs, so every run of such a
+        config cold-starts.
         """
         cfg = self.config
         if self._faults and decisions is not None and decisions.flip is not None:
@@ -918,13 +918,7 @@ class DampiVerifier:
         self._runs_started += 1
         if self._session is not None:
             return self._session.run(decisions)
-        if (
-            cfg.persistent_session
-            and self._runs_started >= 2
-            # a policy instance may carry internal state (e.g. a seeded
-            # RNG) across runs; only string specs rebuild from scratch
-            and isinstance(cfg.policy, str)
-        ):
+        if self._runs_started >= 2 and isinstance(cfg.policy, str):
             self._session = _ReplaySession(self)
             return self._session.run(decisions)
         runtime = Runtime(
@@ -936,7 +930,6 @@ class DampiVerifier:
             cost_model=cfg.cost_model,
             args=self.args,
             kwargs=self.kwargs,
-            indexed=cfg.indexed_matching,
             tracer=self._run_tracer,
         )
         result = runtime.run()
@@ -976,53 +969,20 @@ class DampiVerifier:
         except Exception:
             pass
 
-    # -- parallel plumbing --------------------------------------------------------
-
-    def _spec_extra(self) -> dict:
-        """Extra constructor kwargs a replay worker must pass to rebuild
-        this verifier (subclasses with additional state override)."""
-        return {}
-
-    def _make_executor(
-        self, telemetry: Optional[CampaignTelemetry] = None
-    ) -> ReplayExecutor:
-        spec = ReplaySpec(
-            verifier_cls=type(self),
-            program=self.program,
-            nprocs=self.nprocs,
-            config=self.config,
-            args=self.args,
-            kwargs=self.kwargs,
-            ctor_extra=self._spec_extra(),
-        )
-        return ReplayExecutor(
-            spec,
-            jobs=self.config.jobs,
-            timeout=self.config.job_timeout_seconds,
-            inline_runner=self.run_once,
-            force=self.config.force_jobs,
-            metrics=telemetry.metrics if telemetry is not None else None,
-            tracer=telemetry.tracer if telemetry is not None else None,
-            checkpoint_stats_fn=self.checkpoint_stats,
-        )
-
     def verify(
         self,
-        executor: Optional[ReplayExecutor] = None,
         journal=None,
         faults: Optional[FaultPlan] = None,
     ) -> VerificationReport:
         """The full coverage loop: self run + guided replays to exhaustion
         (or to the configured bounds).
 
-        The loop itself is serial — it is the DFS of paper §II-B — but
-        replay *execution* is delegated to a :class:`ReplayExecutor` built
-        from ``config.jobs`` (or passed in by benchmarks), which may
-        pre-compute the frontier wave on a worker pool.  Reports are
-        bit-identical across ``jobs`` settings; see
-        :mod:`repro.dampi.parallel`.  Every executed run goes through the
+        The loop is the serial DFS of paper §II-B: each guided replay runs
+        in-process on the persistent replay session, through a
+        :class:`~repro.dampi.parallel.ReplayExecutor` that keeps the
+        ``exec.*`` accounting.  Every executed run goes through the
         :class:`CampaignFold`, like journal resume and distributed
-        assembly.
+        assembly (:mod:`repro.dist`, the parallel path).
 
         ``journal`` (a directory path or a
         :class:`~repro.dampi.journal.CampaignJournal`) makes the session
@@ -1062,14 +1022,10 @@ class DampiVerifier:
             result, trace = self.run_once()
             self._fold_live_run(fold, journal, 0, None, result, trace, tele_token)
             run_index = 0
-        if executor is None:
-            executor = self._make_executor(telemetry)
-
+        executor = ReplayExecutor(self.run_once, self.checkpoint_stats)
         executed = 0 if replayed else 1  # the live self run counts as executed
         try:
             while True:
-                width = executor.wave_width
-                batch = fold.generator.next_decision_batch(width) if width else ()
                 decisions = fold.next_decisions(deadline)
                 if decisions is None:
                     break
@@ -1082,21 +1038,11 @@ class DampiVerifier:
                         metrics=telemetry.metrics,
                     )
                 tele_token = telemetry.run_started()
-                outcome = executor.run(decisions, batch)
+                result, trace = executor.run(decisions)
                 executed += 1
-                if outcome.failure is not None:
-                    fold.fold(run_index, decisions, outcome.failure)
-                    if journal is not None:
-                        journal.append(
-                            self._journal_failure_entry(
-                                run_index, decisions, outcome.failure
-                            )
-                        )
-                else:
-                    self._fold_live_run(
-                        fold, journal, run_index, decisions,
-                        outcome.result, outcome.trace, tele_token,
-                    )
+                self._fold_live_run(
+                    fold, journal, run_index, decisions, result, trace, tele_token
+                )
                 applied = replayed + executed  # run/failure entries journaled
                 if (
                     journal is not None
@@ -1112,7 +1058,6 @@ class DampiVerifier:
             # the journal needs no explicit cleanup here: every append is
             # already flushed+fsync'd, and the normal path below writes the
             # end marker and closes it
-            executor.close()
             self.close()
 
         parallel_stats = executor.stats()
@@ -1241,8 +1186,6 @@ class DampiVerifier:
         """A journaled entry must match what the deterministic walk asks
         for at that point — anything else means the program, its inputs,
         or the config changed under the journal."""
-        from repro.dampi.parallel import schedule_key
-
         expected = (
             jr.decisions_from_jsonable(entry["key"]) if entry.get("key") else None
         )
@@ -1309,8 +1252,10 @@ class DampiVerifier:
         reason: str,
         seen: set,
     ) -> None:
-        """A pool worker crashed or timed out: surface the lost replay as a
-        crash defect (with its witness schedule) instead of aborting."""
+        """A replay lost to a worker crash or timeout: surface it as a
+        crash defect (with its witness schedule) instead of aborting.
+        Only journals written by the earlier process-pool executor hold
+        such ``failure`` entries; resume still folds them."""
         report.interleavings += 1
         key = ("crash", reason)
         if key not in seen:

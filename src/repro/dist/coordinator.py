@@ -75,7 +75,7 @@ from typing import Optional
 from repro.dampi.config import DampiConfig
 from repro.dampi.explorer import ScheduleGenerator
 from repro.dampi.journal import CampaignJournal, run_entry, trace_from_jsonable
-from repro.dampi.parallel import schedule_key
+from repro.dampi.decisions import schedule_key
 from repro.dampi.verifier import (
     CampaignFold,
     CampaignTelemetry,

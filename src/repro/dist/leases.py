@@ -33,7 +33,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.dampi.decisions import EpochDecisions
+from repro.dampi.decisions import EpochDecisions, schedule_key
 
 
 def lease_root_decisions(spec: dict) -> EpochDecisions:
@@ -48,8 +48,6 @@ def lease_root_decisions(spec: dict) -> EpochDecisions:
 def lease_key(spec: dict):
     """Hashable identity of a lease — the root schedule's key.  Two specs
     with the same root schedule denote the same subtree."""
-    from repro.dampi.parallel import schedule_key
-
     return schedule_key(lease_root_decisions(spec))
 
 

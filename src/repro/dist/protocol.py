@@ -51,7 +51,7 @@ import socket
 import threading
 from typing import Optional
 
-from repro.dampi.decisions import EpochDecisions
+from repro.dampi.decisions import EpochDecisions, schedule_key
 from repro.dampi.journal import (  # noqa: F401 - re-exported record format
     ShardResult,
     decisions_from_jsonable,
@@ -126,8 +126,6 @@ def unpack_events(blob: str):
 
 def entry_schedule_key(entry: dict):
     """The canonical schedule identity of an entry (hashable)."""
-    from repro.dampi.parallel import schedule_key
-
     if entry.get("key") is None:
         return None
     return schedule_key(decisions_from_jsonable(entry["key"]))

@@ -82,16 +82,13 @@ def shard_config(config):
 
     Semantic knobs (clock, piggyback, bound, policy, ...) pass through
     untouched — they define what a run *is*.  Execution knobs are
-    normalized: one inline job per worker (the worker process *is* the
-    parallelism), no budgets (budgets are global properties the
+    normalized: no budgets (budgets are global properties the
     coordinator's assembly enforces), no per-worker progress lines or
     event tracing (the coordinator owns observability).  The fault plan travels along so ``worker:*`` sites
     fire inside the right process.
     """
     return replace(
         config,
-        jobs=1,
-        force_jobs=False,
         trace_events=False,
         progress_interval_seconds=None,
         max_interleavings=None,

@@ -55,8 +55,8 @@ class DeadlockError(MPIError):
 
     def __reduce__(self):
         # Exception.__reduce__ would replay __init__ with the message string,
-        # which is not a ``blocked`` mapping; replay jobs cross process
-        # boundaries, so round-trip with the real constructor argument.
+        # which is not a ``blocked`` mapping; exceptions cross process
+        # boundaries (campaign cells, dist workers), so round-trip with the real constructor argument.
         return (DeadlockError, (self.blocked,))
 
 

@@ -41,10 +41,6 @@ class IspVerifier(DampiVerifier):
     def _extra_outer_modules(self) -> list:
         return [IspInterpositionModule(self.cost_params)]
 
-    def _spec_extra(self) -> dict:
-        # replay workers must rebuild the baseline with the same cost model
-        return {"cost_params": self.cost_params}
-
     def run_once(self, decisions=None):
         result, trace = super().run_once(decisions)
         self.last_scheduler_stats = result.artifacts.get("isp")

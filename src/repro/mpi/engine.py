@@ -44,7 +44,7 @@ from repro.mpi.collectives import CollectiveInstance
 from repro.mpi.communicator import CommContext
 from repro.mpi.constants import ANY_SOURCE, UNDEFINED, ReduceOp, validate_tag
 from repro.mpi.costmodel import CostModel, SerializedResource, VirtualClocks
-from repro.mpi.matching import IndexedMailBox, LinearMailBox, make_policy
+from repro.mpi.matching import IndexedMailBox, make_policy
 from repro.mpi.message import Envelope
 from repro.mpi.request import Request, RequestKind, RequestState, Status
 
@@ -116,7 +116,6 @@ class MessageEngine:
         cost_model: Optional[CostModel] = None,
         policy="arrival",
         mode: str = "run_to_block",
-        indexed: bool = True,
         tracer=None,
     ):
         if nprocs < 1:
@@ -138,8 +137,7 @@ class MessageEngine:
 
         self._lock = threading.Lock()
         self._ranks = [_RankState(r, self._lock) for r in range(nprocs)]
-        mailbox_cls = IndexedMailBox if indexed else LinearMailBox
-        self._mail = [mailbox_cls(r) for r in range(nprocs)]
+        self._mail = [IndexedMailBox(r) for r in range(nprocs)]
         self._collectives: dict[tuple[int, int], CollectiveInstance] = {}
         self._coll_done: dict[tuple[int, int], int] = {}
         self.contexts: dict[int, CommContext] = {}

@@ -28,8 +28,8 @@ def reset_envelope_ids() -> None:
     Uids are only ever compared within one run's trace; per-run numbering
     makes traces — and any diagnostics quoting an envelope — deterministic
     functions of the schedule, regardless of what the hosting process ran
-    before (the parallel replay engine runs schedules in pool workers,
-    whose counters would otherwise have drifted from the serial walk's).
+    before (a distributed worker replays many leases in one process, and
+    its counters would otherwise have drifted from the serial walk's).
 
     Uids are assigned under the engine lock at send time, so within a run
     uid order is global arrival order — the indexed matcher leans on this

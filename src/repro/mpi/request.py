@@ -25,8 +25,8 @@ def reset_request_ids() -> None:
     """Restart request numbering at 1 (called per ``Runtime.run()``).
 
     Request uids appear in deadlock/leak diagnostics; per-run numbering
-    keeps those messages identical whether a schedule is replayed in-process
-    or on a pool worker (see :mod:`repro.dampi.parallel`)."""
+    keeps those messages identical whether a schedule is replayed serially
+    or on a distributed worker that ran other leases first."""
     global _request_ids
     _request_ids = itertools.count(1)
 

@@ -240,9 +240,6 @@ class Runtime:
         ``"run_to_block"`` (deterministic, default), ``"rr"``, ``"free"``.
     cost_model:
         Virtual-time constants; default :class:`CostModel`.
-    indexed:
-        Use the indexed mailbox (default).  ``False`` selects the
-        reference linear-scan matcher — the ablation/"before" path.
     """
 
     def __init__(
@@ -257,7 +254,6 @@ class Runtime:
         args: tuple = (),
         kwargs: Optional[dict] = None,
         name: str = "",
-        indexed: bool = True,
         tracer=None,
     ):
         self.nprocs = nprocs
@@ -268,15 +264,13 @@ class Runtime:
         self._policy_spec = policy
         self._mode = mode
         self._cost_model = cost_model
-        self._indexed = indexed
         #: per-run event tracer (:class:`repro.obs.trace.Tracer`) or None;
         #: shared with the engine and the tool modules, reset at the top of
         #: every run and collected into ``RunResult.artifacts["obs"]``
         self.tracer = tracer
         self.stack = ToolStack(modules)
         self.engine = MessageEngine(
-            nprocs, cost_model=cost_model, policy=policy, mode=mode,
-            indexed=indexed, tracer=tracer,
+            nprocs, cost_model=cost_model, policy=policy, mode=mode, tracer=tracer
         )
         self.procs = [Proc(r, self.engine, runtime=self) for r in range(nprocs)]
         for proc in self.procs:
@@ -343,7 +337,6 @@ class Runtime:
             cost_model=self._cost_model,
             policy=self._policy_spec,
             mode=self._mode,
-            indexed=self._indexed,
             tracer=self.tracer,
         )
         for proc in self.procs:
@@ -406,8 +399,8 @@ class Runtime:
                 tracer.reset()  # run-relative timestamps
 
             # per-run uid numbering: diagnostics quoting a request/envelope
-            # must not depend on what this process executed before (guided
-            # replays may run in pool workers — see repro.dampi.parallel)
+            # must not depend on what this process executed before (a dist
+            # worker runs many leases' replays in one process)
             reset_envelope_ids()
             reset_request_ids()
 
@@ -559,7 +552,6 @@ def run_program(
     cost_model: Optional[CostModel] = None,
     args: tuple = (),
     kwargs: Optional[dict] = None,
-    indexed: bool = True,
 ) -> RunResult:
     """One-shot convenience: build a Runtime and run it."""
     return Runtime(
@@ -571,5 +563,4 @@ def run_program(
         cost_model=cost_model,
         args=args,
         kwargs=kwargs,
-        indexed=indexed,
     ).run()

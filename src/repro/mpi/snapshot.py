@@ -797,7 +797,6 @@ def install_snapshot(runtime, snap: Snapshot, record_after: bool = False) -> dic
             cost_model=runtime._cost_model,
             policy=runtime._policy_spec,
             mode=runtime._mode,
-            indexed=runtime._indexed,
             tracer=runtime.tracer,
         )
         runtime._restore_engine = engine

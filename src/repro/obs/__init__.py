@@ -10,7 +10,8 @@ without perturbing what it measures:
 - :mod:`repro.obs.metrics` — counters, gauges, and fixed-boundary
   histograms in a :class:`~repro.obs.metrics.MetricsRegistry`; the
   deterministic namespaces (``engine.*``, ``pb.*``, ``campaign.*``,
-  ``run.*``) are reproducible bit-for-bit across ``--jobs`` settings.
+  ``run.*``) are reproducible bit-for-bit across serial, resumed and
+  distributed campaigns.
 - :mod:`repro.obs.export` — JSONL event logs and Chrome ``trace_event``
   JSON (chrome://tracing / Perfetto, per-rank lanes).
 - :mod:`repro.obs.binary` — the compact ``.revt`` binary event encoding

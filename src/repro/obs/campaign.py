@@ -5,17 +5,16 @@
 campaign-level tracer (run-lifecycle spans, scheduler events), the
 :class:`~repro.obs.metrics.MetricsRegistry` every component writes into,
 and the optional stderr heartbeat.  Per-run event streams — collected by
-the runtime's tracer during the run, possibly in a replay worker process —
-arrive inside ``RunResult.artifacts["obs"]`` and are merged onto the
-campaign timeline here, relabelled with the run index and rebased onto
-the consume window (for pool runs the *worker* wall is unknowable on the
-campaign axis; the consume window is where the serial walk observed the
-run, which is what the Chrome lanes should show).
+the runtime's tracer during the run — arrive inside
+``RunResult.artifacts["obs"]`` and are merged onto the campaign timeline
+here, relabelled with the run index and rebased onto the window in which
+the walk consumed the run.
 
 Determinism: everything recorded under ``engine.*`` / ``pb.*`` /
 ``campaign.*`` / ``run.*`` derives from consumed runs only, and consumed
-runs are bit-identical across ``--jobs`` settings — so those totals are
-too.  Environment-dependent numbers go to ``exec.*`` / ``wall.*``.
+runs are bit-identical across serial, resumed and distributed campaigns
+— so those totals are too.  Environment-dependent numbers go to
+``exec.*`` / ``wall.*``.
 """
 
 from __future__ import annotations
@@ -36,18 +35,6 @@ VTIME_BUCKETS = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0)
 ENGINE_STAT_KEYS = (
     "envelopes", "bytes", "collectives", "matches", "wildcard_matches",
 )
-
-#: executor stats() key -> the registry counter ReplayExecutor backs it
-#: with; record_executor skips these when the counter is already present
-#: (shared registry) and only gauges the rest
-_EXEC_COUNTER_NAMES = {
-    "submitted": "exec.submitted",
-    "hits": "exec.cache_hits",
-    "misses": "exec.cache_misses",
-    "failures": "exec.failures",
-    "wasted": "exec.wasted",
-    "abandoned_workers": "exec.abandoned_workers",
-}
 
 
 class CampaignTelemetry:
@@ -163,11 +150,8 @@ class CampaignTelemetry:
 
     def record_executor(self, stats: dict) -> None:
         """Gauge the replay executor's final accounting under ``exec.*``.
-        Counter-backed keys are skipped when the executor shared this
-        registry (they are already present as ``exec.`` counters).  The
-        nested ``checkpoint`` dict (prefix-checkpoint cache accounting)
-        is flattened to ``exec.checkpoint_*`` gauges."""
-        have = set(self.metrics.snapshot()["counters"])
+        The nested ``checkpoint`` dict (prefix-checkpoint cache
+        accounting) is flattened to ``exec.checkpoint_*`` gauges."""
         for key, value in (stats or {}).items():
             if key == "checkpoint" and isinstance(value, dict):
                 for ck, cv in value.items():
@@ -177,9 +161,6 @@ class CampaignTelemetry:
                         continue
                     self.metrics.gauge(f"exec.checkpoint_{ck}").set(cv)
                 continue
-            counter_name = _EXEC_COUNTER_NAMES.get(key)
-            if counter_name is not None and counter_name in have:
-                continue
             self.metrics.gauge(f"exec.{key}").set(value)
 
     def heartbeat(self, completed: int, generator, executor,
@@ -187,9 +168,6 @@ class CampaignTelemetry:
         if self.progress is None:
             return
         gstats = generator.stats()
-        hits = getattr(executor, "hits", 0)
-        misses = getattr(executor, "misses", 0)
-        rate = hits / (hits + misses) if (hits + misses) else None
         queued = gstats.get("open_alternatives", 0)
         eta = None
         if self._recent_walls and queued:
@@ -208,7 +186,6 @@ class CampaignTelemetry:
             completed=completed,
             queued=queued,
             frontier_depth=gstats.get("path_length", 0),
-            cache_hit_rate=rate,
             eta_seconds=eta,
             checkpoint=checkpoint,
             force=force,

@@ -7,10 +7,11 @@ report JSON v3 under the ``telemetry`` key.
 Determinism contract: histogram boundaries are **fixed at creation** (no
 adaptive bucketing, no wall-clock-derived boundaries), so the
 deterministic namespaces — ``engine.*``, ``pb.*``, ``campaign.*``,
-``run.*`` — aggregate to identical snapshots regardless of ``--jobs`` or
-host speed.  Environment-dependent instruments live under ``exec.*`` /
-``wall.*`` and are excluded by :func:`deterministic_view` (which the
-jobs-vs-serial equality tests compare).
+``run.*`` — aggregate to identical snapshots in serial, resumed and
+distributed campaigns at any host speed.  Environment-dependent
+instruments live under ``exec.*`` / ``wall.*`` and are excluded by
+:func:`deterministic_view` (which the serial-vs-dist equality tests
+compare).
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from bisect import bisect_left
 from typing import Dict, Sequence, Tuple
 
 #: Instrument-name prefixes whose values depend on the environment
-#: (scheduling, host speed, worker pool, crash/resume history, injected
+#: (scheduling, host speed, dist workers, crash/resume history, injected
 #: faults) rather than the verified execution.  Everything else must be
-#: jobs-invariant — and invariant across journal resumes.  ``ckpt.*``
+#: the same for serial and dist campaigns — and across journal resumes.  ``ckpt.*``
 #: (prefix-checkpoint cache traffic) is separate from ``exec.*`` because
 #: ``exec.*`` totals are additionally worker-count-invariant, while
 #: cache hits depend on which worker a sibling lease lands on.
@@ -87,7 +88,7 @@ class MetricsRegistry:
     """Named instruments with get-or-create semantics.
 
     Snapshots are plain JSON-able dicts; :meth:`merge_snapshot` folds a
-    snapshot from another process (a replay worker) into this registry —
+    snapshot from another process (a dist worker) into this registry —
     counters and histogram buckets add, gauges take the incoming value.
     """
 
@@ -158,9 +159,9 @@ def _deterministic(name: str) -> bool:
 
 
 def deterministic_view(snapshot: dict) -> dict:
-    """The jobs-invariant subset of a snapshot: drop every instrument in
-    a :data:`NONDETERMINISTIC_PREFIXES` namespace.  Used by the
-    determinism tests to compare ``--jobs 2`` against serial."""
+    """The execution-invariant subset of a snapshot: drop every
+    instrument in a :data:`NONDETERMINISTIC_PREFIXES` namespace.  Used by
+    the determinism tests to compare dist and resume against serial."""
     return {
         kind: {
             name: value for name, value in (snapshot.get(kind) or {}).items()

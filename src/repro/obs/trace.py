@@ -31,9 +31,9 @@ Design constraints, in priority order:
    (which strips the clock fields).  ``args`` is rendered as a sorted
    tuple of pairs — hashable, picklable, and order-stable.
 
-Raw records cross process boundaries (replay workers pickle the
-:meth:`collect` payload back inside ``RunResult.artifacts["obs"]``), so
-they stay plain tuples/dicts of primitives.  A record is immutable once
+Raw records cross process boundaries (a dist worker ships its runs'
+events to the coordinator), so they stay plain tuples/dicts of
+primitives.  A record is immutable once
 recorded — the tuple by type, its args dict by convention (nothing writes
 to it after :meth:`instant`/:meth:`complete`) — so prefix checkpoints
 hold :meth:`snapshot_state` by reference instead of pickling it, and the

@@ -148,14 +148,15 @@ def as_runnable(programs: list[list[tuple]]):
 class ReferenceMatcher:
     """An independent model of MPI point-to-point matching for one receiver.
 
-    Mirrors the semantics both production mailboxes
-    (``repro.mpi.matching.LinearMailBox`` / ``IndexedMailBox``) must
-    implement — unexpected-message queue in arrival order, posted-receive
-    queue in post order, first-compatible selection, non-overtaking per
-    ``(source, dest, ctx, tag)`` stream — but shares no code with either:
+    Mirrors the semantics the production mailbox
+    (``repro.mpi.matching.IndexedMailBox``) must implement —
+    unexpected-message queue in arrival order, posted-receive queue in
+    post order, first-compatible selection, non-overtaking per
+    ``(source, dest, ctx, tag)`` stream — but shares no code with it:
     flat lists, explicit scans, and its own compatibility predicate.  The
-    differential property test drives all three with identical operation
-    sequences and requires identical answers.
+    differential property test drives both with identical operation
+    sequences and requires identical answers, and the zoo differential
+    plugs it into the engine in place of the indexed mailbox.
 
     Duck-typed over the engine's objects: envelopes expose
     ``ctx/src/tag/uid``, posted receives ``ctx/effective_src/posted_tag/uid``.

@@ -3,7 +3,7 @@
 The headline property mirrors the parallel one: with prefix checkpoints
 enabled (the default) every report is *bit-identical* to the full
 re-execute-from-``MPI_Init`` walk — across the whole bug zoo, across
-``jobs`` settings, across distributed workers, and across injected
+distributed workers, and across injected
 worker deaths mid-restore.  Checkpointing is purely an execution-time
 optimization; it must never be observable in a report.
 """
@@ -322,18 +322,6 @@ class TestZooBitIdentity:
 
 
 class TestJobsAndDistIdentity:
-    def test_jobs2_checkpointed_matches_serial_full(self):
-        on = _verify(
-            matmult_program, 4, MATMULT_KW, jobs=2, force_jobs=True
-        )
-        off = _verify(matmult_program, 4, MATMULT_KW, prefix_checkpoints=False)
-        assert _canon(on) == _canon(off)
-        ckpt = on.parallel_stats["checkpoint"]
-        assert ckpt["enabled"]
-        # pool workers execute the replays; their caches report upstream
-        assert ckpt["workers_reporting"] >= 1
-        assert ckpt["hits"] > 0
-
     def test_two_worker_dist_matches_serial_full(self):
         from repro.dist import distributed_verify
 

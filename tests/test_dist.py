@@ -19,7 +19,7 @@ from repro.dampi.config import DampiConfig
 from repro.dampi.decisions import EpochDecisions
 from repro.dampi.explorer import DecisionNode, ScheduleGenerator
 from repro.dampi.journal import CampaignJournal, JournalError
-from repro.dampi.parallel import schedule_key
+from repro.dampi.decisions import schedule_key
 from repro.dampi.verifier import DampiVerifier
 from repro.dist import (
     DistError,
@@ -43,7 +43,7 @@ from repro.workloads.matmult import matmult_program
 from repro.workloads.patterns import wildcard_lattice
 
 from tests.test_journal import BIG, LATTICE, _canon
-from tests.test_parallel import _report_fingerprint
+from tests.conftest import report_fingerprint
 
 
 def _spec(alt, flip_key=(1, 0), prefix=()):
@@ -400,7 +400,7 @@ class TestDistributedBitIdentity:
             wildcard_lattice, 4, cfg, workers=workers, kwargs=BIG
         )
         assert _canon(dist) == _canon(serial)
-        assert _report_fingerprint(dist) == _report_fingerprint(serial)
+        assert report_fingerprint(dist) == report_fingerprint(serial)
         assert deterministic_view(dist.telemetry["metrics"]) == deterministic_view(
             serial.telemetry["metrics"]
         )
@@ -439,7 +439,7 @@ class TestDistributedBitIdentity:
         serial = DampiVerifier(entry.program, entry.nprocs, cfg).verify()
         dist = distributed_verify(entry.program, entry.nprocs, cfg, workers=2)
         assert _canon(dist) == _canon(serial)
-        assert _report_fingerprint(dist) == _report_fingerprint(serial)
+        assert report_fingerprint(dist) == report_fingerprint(serial)
 
     def test_budget_truncation_identical(self):
         cfg = DampiConfig(max_interleavings=7)
@@ -539,11 +539,12 @@ class TestDistributedJournal:
 class TestShardConfig:
     def test_execution_knobs_normalized_semantics_kept(self):
         cfg = DampiConfig(
-            jobs=4, max_interleavings=9, bound_k=2,
+            max_interleavings=9, max_seconds=5.0, bound_k=2,
             trace_events=True, progress_interval_seconds=1.0,
+            artifacts_dir="art",
         )
         sc = shard_config(cfg)
-        assert sc.jobs == 1
+        assert sc.artifacts_dir is None
         assert sc.max_interleavings is None and sc.max_seconds is None
         assert not sc.trace_events and sc.progress_interval_seconds is None
         assert sc.bound_k == 2  # semantic knobs untouched

@@ -2,15 +2,10 @@
 
 * the plan grammar parses (and rejects) what the docs promise;
 * kill/hang/delay/raise fire at the self/run/flip/stage/cell sites;
-* a worker lost mid-wave is contained — the campaign keeps walking;
-* a wedged worker is abandoned by recycling the pool, not waited on;
 * a killed campaign cell is recorded failed and the sweep keeps going;
 * none of it leaks into the deterministic telemetry namespaces.
 """
 
-import json
-import multiprocessing
-import os
 
 import pytest
 
@@ -24,13 +19,12 @@ from repro.dampi import (
 from repro.dampi.campaign import escalating_verify
 from repro.dampi.faults import (
     DEFAULT_HANG_SECONDS,
-    FAULT_EXIT_CODE,
     FaultPlanError,
     _parse_term,
 )
 from repro.obs.metrics import deterministic_view
 from repro.workloads.patterns import wildcard_lattice
-from tests.test_parallel import _report_fingerprint
+from tests.conftest import report_fingerprint
 
 LATTICE = {"receives": 2, "senders": 2}
 
@@ -141,74 +135,10 @@ class TestSoftActions:
             DampiConfig(fault_plan="delay@run:1:0.01,delay@self:0.01"),
             kwargs=LATTICE,
         ).verify()
-        assert _report_fingerprint(delayed) == _report_fingerprint(oracle)
+        assert report_fingerprint(delayed) == report_fingerprint(oracle)
 
     def test_default_hang_duration_is_an_hour(self):
         assert DEFAULT_HANG_SECONDS == 3600.0
-
-
-def _pool_verify_child(conn, fault_plan, timeout):
-    """Child-process body: a pooled verification whose fault plan targets
-    replay execution.  Run in a child so that if containment ever fails
-    and the kill reaches the main loop, it takes down this sacrificial
-    process (exitcode 43) instead of the test runner."""
-    cfg = DampiConfig(
-        jobs=2,
-        force_jobs=True,
-        fault_plan=fault_plan,
-        **({"job_timeout_seconds": timeout} if timeout else {}),
-    )
-    report = DampiVerifier(
-        wildcard_lattice, 3, cfg, kwargs=LATTICE
-    ).verify()
-    conn.send(
-        {
-            "interleavings": report.interleavings,
-            "error_kinds": sorted({e.kind for e in report.errors}),
-            "details": sorted(e.detail for e in report.errors),
-            "stats": report.parallel_stats,
-        }
-    )
-    conn.close()
-    os._exit(0)
-
-
-def _pool_verify_outcome(fault_plan, timeout=None):
-    ctx = multiprocessing.get_context("fork")
-    recv, send = ctx.Pipe(duplex=False)
-    proc = ctx.Process(target=_pool_verify_child, args=(send, fault_plan, timeout))
-    proc.start()
-    send.close()
-    payload = recv.recv() if recv.poll(120) else None
-    proc.join(30)
-    assert proc.exitcode == 0, (
-        f"main verification loop died (exitcode {proc.exitcode}) — "
-        f"a worker-targeted fault escaped containment"
-    )
-    assert payload is not None
-    return payload
-
-
-class TestWorkerFaults:
-    def test_midwave_kill_is_contained_to_the_worker(self):
-        """A worker killed mid-replay (flip (0,0) runs only in the pool)
-        breaks the pool; the campaign records the lost replay as a crash
-        witness and finishes the rest of the walk demoted."""
-        out = _pool_verify_outcome("kill@flip:0.0")
-        assert "crash" in out["error_kinds"]
-        assert any("worker died" in d for d in out["details"])
-        assert out["stats"]["demoted"]
-        assert out["interleavings"] >= 3  # self + surviving replays + loss
-
-    def test_hung_worker_is_abandoned_by_recycling_the_pool(self):
-        """Satellite bugfix: a wedged worker cannot be cancel()ed — the
-        pool is rebuilt, the worker counted abandoned, and the session
-        keeps its pool (no demotion to inline)."""
-        out = _pool_verify_outcome("hang@flip:0.0:30", timeout=0.25)
-        assert any("exceeded" in d for d in out["details"])
-        assert out["stats"]["abandoned_workers"] == 1
-        assert not out["stats"]["demoted"]
-        assert out["stats"]["mode"] == "pool"
 
 
 class TestStageFaults:
@@ -275,21 +205,14 @@ class TestTelemetryIsolation:
     ):
         """Journaling and injecting (harmless) faults must not perturb the
         deterministic engine.*/pb.*/campaign.*/run.* totals."""
-        def verify(jobs, journal=None, fault_plan=None):
-            cfg = DampiConfig(
-                jobs=jobs,
-                force_jobs=jobs > 1,
-                fault_plan=fault_plan,
-                trace_events=True,
-            )
+        def verify(journal=None, fault_plan=None):
+            cfg = DampiConfig(fault_plan=fault_plan, trace_events=True)
             return DampiVerifier(
                 wildcard_lattice, 3, cfg, kwargs=LATTICE
             ).verify(journal=journal)
 
-        plain = verify(1)
-        dressed = verify(
-            2, journal=tmp_path / "j", fault_plan="delay@run:1:0.01"
-        )
+        plain = verify()
+        dressed = verify(journal=tmp_path / "j", fault_plan="delay@run:1:0.01")
         assert deterministic_view(
             plain.telemetry["metrics"]
         ) == deterministic_view(dressed.telemetry["metrics"])

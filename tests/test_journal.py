@@ -25,15 +25,14 @@ from repro.dampi import (
     run_campaign,
 )
 from repro.dampi import journal as jr
-from repro.dampi.decisions import EpochDecisions
+from repro.dampi.decisions import EpochDecisions, schedule_key
 from repro.dampi.epoch import PotentialMatch
 from repro.dampi.explorer import ScheduleGenerator
 from repro.dampi.faults import FAULT_EXIT_CODE
-from repro.dampi.parallel import schedule_key
 from repro.dampi.prune import ESCALATED_ENV_UID
 from repro.workloads.patterns import wildcard_lattice
 from tests.test_explorer import trace_with
-from tests.test_parallel import _report_fingerprint
+from tests.conftest import report_fingerprint
 
 #: 4 interleavings at np=3 — small enough to crash precisely mid-walk
 LATTICE = {"receives": 2, "senders": 2}
@@ -90,7 +89,7 @@ class TestCrashResume:
         assert resumed.journal_stats["replayed"] == 2
         assert resumed.journal_stats["executed"] == oracle.interleavings - 2
         assert _canon(resumed) == _canon(oracle)
-        assert _report_fingerprint(resumed) == _report_fingerprint(oracle)
+        assert report_fingerprint(resumed) == report_fingerprint(oracle)
 
     def test_kill_during_self_run_restarts_cleanly(self, tmp_path):
         oracle = DampiVerifier(
@@ -248,14 +247,15 @@ class TestCrashResume:
             ).verify(journal=journal_dir)
 
     def test_execution_knobs_do_not_invalidate_the_journal(self, tmp_path):
-        """jobs / fault_plan / journal tuning are bit-identity-preserving,
-        so resuming under different values of them must be allowed."""
+        """checkpoints / fault_plan / journal tuning are bit-identity-
+        preserving, so resuming under different values of them must be
+        allowed."""
         journal_dir = tmp_path / "j"
         _crash_campaign(journal_dir, "kill@run:2")
         resumed = DampiVerifier(
             wildcard_lattice,
             3,
-            DampiConfig(jobs=2, journal_checkpoint_interval=1),
+            DampiConfig(prefix_checkpoints=False, journal_checkpoint_interval=1),
             kwargs=LATTICE,
         ).verify(journal=journal_dir)
         assert resumed.journal_stats["replayed"] == 2
@@ -323,21 +323,60 @@ class TestStreaming:
         assert sum(1 for _ in journal.run_entries()) == 27
 
 
+def _journal_with_lost_replay(journal_dir, nprocs, kwargs, lost_flip):
+    """Write a journal the way the earlier process-pool executor did when
+    a replay worker died: the first replay flipping ``lost_flip`` is a
+    ``failure`` entry, and the walk goes on past it
+    (``ScheduleGenerator.abandon``).  Returns that campaign's report."""
+    from repro.dampi.verifier import CampaignFold
+    from repro.obs.campaign import CampaignTelemetry
+
+    cfg = DampiConfig()
+    verifier = DampiVerifier(wildcard_lattice, nprocs, cfg, kwargs=kwargs)
+    fold = CampaignFold(verifier, CampaignTelemetry(cfg), 0.0)
+    journal = CampaignJournal.open(journal_dir, cfg)
+    journal.ensure_meta(nprocs, cfg, kwargs=kwargs)
+    result, trace = verifier.run_once()
+    verifier._fold_live_run(fold, journal, 0, None, result, trace, None)
+    index, lost = 0, False
+    while (decisions := fold.next_decisions()) is not None:
+        index += 1
+        if not lost and decisions.flip == lost_flip:
+            lost = True
+            reason = f"replay worker died replaying flip {decisions.flip}"
+            fold.fold(index, decisions, reason)
+            journal.append(
+                verifier._journal_failure_entry(index, decisions, reason)
+            )
+            continue
+        result, trace = verifier.run_once(decisions)
+        verifier._fold_live_run(
+            fold, journal, index, decisions, result, trace, None
+        )
+    verifier.close()
+    assert lost
+    report = fold.report
+    journal.append(
+        {
+            "t": "end",
+            "interleavings": report.interleavings,
+            "truncated": report.truncated,
+        }
+    )
+    journal.close()
+    return fold.finish({"mode": "inline"})
+
+
 class TestFailureEntryResume:
     def test_worker_crash_failure_entries_resume_bit_identically(self, tmp_path):
-        """A replay lost to a dying pool worker lands in the journal as a
+        """A replay lost to a dying worker lands in the journal as a
         failure entry; resuming replays the abandon and the rest of the
         walk matches the faulted run exactly."""
-        cfg = DampiConfig(
-            jobs=2, force_jobs=True, fault_plan="raise@flip:0.0"
-        )
         journal_dir = tmp_path / "j"
-        faulted = DampiVerifier(
-            wildcard_lattice, 3, cfg, kwargs=LATTICE
-        ).verify(journal=journal_dir)
+        faulted = _journal_with_lost_replay(journal_dir, 3, LATTICE, (0, 0))
         assert any(e.kind == "crash" for e in faulted.errors)
         resumed = DampiVerifier(
-            wildcard_lattice, 3, DampiConfig(jobs=1), kwargs=LATTICE
+            wildcard_lattice, 3, DampiConfig(), kwargs=LATTICE
         ).verify(journal=journal_dir)
         assert resumed.journal_stats["executed"] == 0
         assert _canon(resumed) == _canon(faulted)
@@ -351,12 +390,8 @@ class TestFailureEntryResume:
         DampiVerifier(
             wildcard_lattice, 4, DampiConfig(), kwargs=BIG
         ).verify(journal=oracle_dir)
-        DampiVerifier(
-            wildcard_lattice,
-            4,
-            DampiConfig(jobs=2, force_jobs=True, fault_plan="raise@flip:0.0"),
-            kwargs=BIG,
-        ).verify(journal=faulted_dir)
+        _journal_with_lost_replay(faulted_dir, 4, BIG, (0, 0))
+
         def keys(journal_dir):
             out = []
             for e in CampaignJournal(journal_dir).run_entries():
@@ -479,7 +514,9 @@ class TestSerialization:
 
     def test_config_signature_ignores_execution_knobs(self):
         base = DampiConfig()
-        same = DampiConfig(jobs=4, fault_plan="kill@self", journal_fsync=False)
+        same = DampiConfig(
+            prefix_checkpoints=False, fault_plan="kill@self", journal_fsync=False
+        )
         different = DampiConfig(bound_k=2)
         assert jr.config_signature(3, base) == jr.config_signature(3, same)
         assert jr.config_signature(3, base) != jr.config_signature(3, different)
@@ -514,3 +551,52 @@ class TestCliJournal:
         empty.mkdir()
         with pytest.raises(SystemExit):
             main(["resume", str(empty)])
+
+    #: DampiConfig fields journals recorded before the process-pool
+    #: executor and the two ablation switches were removed
+    RETIRED = {
+        "jobs": 2,
+        "job_timeout_seconds": None,
+        "force_jobs": False,
+        "persistent_session": True,
+        "indexed_matching": True,
+    }
+
+    @staticmethod
+    def _add_config_keys(journal_dir, extra: dict) -> None:
+        """Rewrite a journal's meta record to carry extra config keys."""
+        segment = min(journal_dir.glob("segment-*.jsonl"))
+        meta, rest = segment.read_text().split("\n", 1)
+        record = json.loads(meta)
+        assert record["t"] == "meta"
+        record["config"].update(extra)
+        segment.write_text(json.dumps(record) + "\n" + rest)
+
+    def test_resume_drops_retired_config_keys(self, tmp_path, capsys):
+        journal_dir = tmp_path / "j"
+        argv = ["--nprocs", "3", "--kwargs", json.dumps(LATTICE)]
+        assert main(["verify", self.PROG, *argv, "--journal-dir", str(journal_dir)]) == 0
+        self._add_config_keys(journal_dir, self.RETIRED)
+        capsys.readouterr()
+        assert main(["resume", str(journal_dir)]) == 0
+        assert "run(s) replayed, 0 executed" in capsys.readouterr().out
+
+    def test_resume_refuses_other_unknown_config_keys(self, tmp_path):
+        journal_dir = tmp_path / "j"
+        argv = ["--nprocs", "3", "--kwargs", json.dumps(LATTICE)]
+        assert main(["verify", self.PROG, *argv, "--journal-dir", str(journal_dir)]) == 0
+        self._add_config_keys(journal_dir, {**self.RETIRED, "turbo": True})
+        with pytest.raises(SystemExit, match="does not match this version"):
+            main(["resume", str(journal_dir)])
+
+    def test_dist_resume_drops_retired_config_keys(self, tmp_path, capsys):
+        journal_dir = tmp_path / "dj"
+        argv = ["--nprocs", "3", "--kwargs", json.dumps(LATTICE)]
+        assert main(
+            ["dist", "run", self.PROG, *argv, "--workers", "1",
+             "--journal-dir", str(journal_dir)]
+        ) == 0
+        self._add_config_keys(journal_dir, self.RETIRED)
+        capsys.readouterr()
+        assert main(["dist", "resume", str(journal_dir)]) == 0
+        assert ", 0 executed" in capsys.readouterr().out

@@ -150,12 +150,14 @@ class TestMetrics:
     def test_deterministic_view_filters_env_namespaces(self):
         m = MetricsRegistry()
         m.counter("engine.matches").inc()
-        m.counter("exec.submitted").inc()
+        m.counter("ckpt.hits").inc()
+        m.gauge("exec.checkpoint_hits").set(4)
         m.gauge("wall.seconds").set(1.2)
         m.gauge("campaign.depth").set(3)
         view = deterministic_view(m.snapshot())
         assert "engine.matches" in view["counters"]
-        assert "exec.submitted" not in view["counters"]
+        assert "ckpt.hits" not in view["counters"]
+        assert "exec.checkpoint_hits" not in view["gauges"]
         assert "wall.seconds" not in view["gauges"]
         assert "campaign.depth" in view["gauges"]
 
@@ -214,10 +216,34 @@ class TestProgress:
         assert p.tick(1, 5, 2)  # first tick always fires
         assert not p.tick(2, 4, 2)
         clk.advance(1.1)
-        assert p.tick(3, 3, 2, cache_hit_rate=0.5, eta_seconds=9.0)
+        assert p.tick(3, 3, 2, eta_seconds=9.0, checkpoint=(12, 3))
         assert p.lines_written == 2
         assert "runs 3 done / 3 queued" in lines[-1]
-        assert "cache 50% hit" in lines[-1] and "eta ~9.0s" in lines[-1]
+        assert "ckpt 12/3 h/m" in lines[-1] and "eta ~9.0s" in lines[-1]
+
+    def test_serial_campaign_heartbeat_has_no_cache_column(self, capsys):
+        """A serial campaign has no speculative replay cache: its
+        heartbeat shows runs, frontier and checkpoint hits only."""
+        from repro.dampi.config import DampiConfig
+        from repro.dampi.verifier import DampiVerifier
+        from repro.workloads.patterns import wildcard_lattice
+
+        report = DampiVerifier(
+            wildcard_lattice, 3,
+            DampiConfig(progress_interval_seconds=0),
+            kwargs={"receives": 2, "senders": 2},
+        ).verify()
+        lines = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("[dampi] runs")
+        ]
+        assert len(lines) == report.interleavings - 1  # one per replay
+        assert all("cache" not in line for line in lines)
+        assert "ckpt" in lines[-1]
+        gauges = report.telemetry["metrics"]["gauges"]
+        counters = report.telemetry["metrics"]["counters"]
+        assert gauges["exec.checkpoint_enabled"]
+        assert not [k for k in counters if k.startswith("exec.")]
 
     def test_final_skipped_on_fast_silent_campaign(self):
         lines = []

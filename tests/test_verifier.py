@@ -210,26 +210,29 @@ class TestPersistentSession:
     no state may bleed between the runs it hosts."""
 
     def _fp(self, rep):
-        from tests.test_parallel import _report_fingerprint
+        from tests.conftest import report_fingerprint
 
-        return _report_fingerprint(rep)
+        return report_fingerprint(rep)
+
+    @staticmethod
+    def _cold():
+        """The cold-start reference: a policy *instance* runs every replay
+        on a fresh runtime (same arrival policy as the default spec)."""
+        from repro.mpi.matching import make_policy
+
+        return DampiConfig(policy=make_policy("arrival"))
 
     def test_pooled_reports_bit_identical_to_fresh(self):
         kwargs = {"receives": 3, "senders": 3}
         pooled = DampiVerifier(wildcard_lattice, 4, kwargs=kwargs).verify()
         fresh = DampiVerifier(
-            wildcard_lattice,
-            4,
-            DampiConfig(persistent_session=False),
-            kwargs=kwargs,
+            wildcard_lattice, 4, self._cold(), kwargs=kwargs
         ).verify()
         assert self._fp(pooled) == self._fp(fresh)
 
     def test_pooled_error_finding_bit_identical_to_fresh(self):
         pooled = DampiVerifier(fig3_program, 3).verify()
-        fresh = DampiVerifier(
-            fig3_program, 3, DampiConfig(persistent_session=False)
-        ).verify()
+        fresh = DampiVerifier(fig3_program, 3, self._cold()).verify()
         assert self._fp(pooled) == self._fp(fresh)
         assert (
             pooled.errors[0].decisions.forced == fresh.errors[0].decisions.forced
@@ -277,10 +280,11 @@ class TestPersistentSession:
             v.close()
 
     def test_session_disabled_by_config(self):
+        # the differentials' cold reference really runs without a session
         v = DampiVerifier(
             wildcard_lattice,
             3,
-            DampiConfig(persistent_session=False),
+            self._cold(),
             kwargs={"receives": 2, "senders": 2},
         )
         try:
